@@ -1,16 +1,15 @@
-//! netloop — events/second of the netsim event engines on a fabric
-//! workload: the classic single-queue loop vs the sharded conservative
-//! engine ([`netsim::Network::set_shards`]) at several thread counts.
+//! netloop — events/second of the netsim event loop on a fabric
+//! workload.
 //!
 //! The workload is a scaled-down E3c: a 4-pod × 16-host fabric behind a
 //! software spine with one learning controller, every host pinging its
 //! partner in the next pod, then a second (converged, fast-path) round.
-//! All engines process the exact same deterministic event stream, so
-//! events/second is directly comparable.
+//! The event stream is deterministic, so events/second is comparable
+//! across runs.
 //!
-//! Besides the criterion output, a single calibrated run per engine is
-//! recorded to `BENCH_netsim.json` so the performance trajectory is
-//! machine-readable across PRs.
+//! Besides the criterion output, a single calibrated run is recorded to
+//! `BENCH_netsim.json` so the performance trajectory is machine-readable
+//! across PRs.
 
 use criterion::{criterion_group, Criterion, Throughput};
 
@@ -26,7 +25,7 @@ const PODS: u16 = 4;
 const HOSTS: u16 = 16;
 
 /// Build the fabric, run both ping rounds, return total events processed.
-fn fabric_ping_storm(threads: Option<usize>) -> u64 {
+fn fabric_ping_storm() -> u64 {
     let mut net = Network::new(5);
     let ctrl = net.add_node(ControllerNode::new(
         "ctrl",
@@ -47,10 +46,6 @@ fn fabric_ping_storm(threads: Option<usize>) -> u64 {
                 .map(|i| fx.attach_host(&mut net, p, i).expect("free access port"))
                 .collect(),
         );
-    }
-    if let Some(t) = threads {
-        net.set_shards(&fx.shard_map());
-        net.set_threads(t);
     }
     net.run_until(SimTime::from_millis(100));
     for _round in 0..2 {
@@ -80,29 +75,13 @@ fn fabric_ping_storm(threads: Option<usize>) -> u64 {
     net.events_processed()
 }
 
-fn engines() -> Vec<(&'static str, Option<usize>)> {
-    vec![
-        ("single_queue", None),
-        ("sharded_t1", Some(1)),
-        ("sharded_t2", Some(2)),
-        ("sharded_t4", Some(4)),
-        // `Some(0)` = auto-detect (`Network::set_threads(0)` resolves it
-        // via available_parallelism), the `--threads 0` default path.
-        ("sharded_tauto", Some(0)),
-    ]
-}
-
 fn bench_netloop(c: &mut Criterion) {
-    // The event stream is deterministic and engine-independent; run once
-    // to size the throughput denominator (and sanity-check equivalence).
-    let events = fabric_ping_storm(None);
-    assert_eq!(events, fabric_ping_storm(Some(2)), "engines must agree");
+    // Run once to size the throughput denominator.
+    let events = fabric_ping_storm();
     let mut g = c.benchmark_group("netloop");
     g.sample_size(10);
     g.throughput(Throughput::Elements(events));
-    for (label, threads) in engines() {
-        g.bench_function(label, |b| b.iter(|| fabric_ping_storm(threads)));
-    }
+    g.bench_function("single_queue", |b| b.iter(fabric_ping_storm));
     g.finish();
 }
 
@@ -110,23 +89,18 @@ criterion_group!(benches, bench_netloop);
 
 fn main() {
     benches();
-    // One calibrated run per engine into the machine-readable trajectory.
-    let mut rep = report::Report::load(report::bench_file());
-    for (label, threads) in engines() {
-        let t0 = std::time::Instant::now();
-        let events = fabric_ping_storm(threads);
-        let wall = t0.elapsed().as_secs_f64();
-        rep.record(
-            &format!("netloop/fabric_{PODS}x{HOSTS}/{label}"),
-            &[
-                ("threads", threads.unwrap_or(0) as f64),
-                ("events", events as f64),
-                ("wall_s", wall),
-                ("events_per_sec", events as f64 / wall),
-            ],
-        );
-    }
-    if let Err(e) = rep.save(report::bench_file()) {
-        eprintln!("(could not write {}: {e})", report::BENCH_FILE);
-    }
+    // One calibrated run into the machine-readable trajectory.
+    let t0 = std::time::Instant::now();
+    let events = fabric_ping_storm();
+    let wall = t0.elapsed().as_secs_f64();
+    let mut rep = report::Report::new();
+    rep.record(
+        &format!("netloop/fabric_{PODS}x{HOSTS}/single_queue"),
+        &[
+            ("events", events as f64),
+            ("wall_s", wall),
+            ("events_per_sec", events as f64 / wall),
+        ],
+    );
+    report::publish(&rep);
 }

@@ -198,7 +198,7 @@ fn main() {
     // BENCH_netsim.json so perf PRs can diff them without parsing
     // criterion output.
     let frames = burst_frames();
-    let mut rep = report::Report::load(report::bench_file());
+    let mut rep = report::Report::new();
     {
         let mut dp = acl_dp(PipelineMode::full(), 1024);
         for f in &frames {
@@ -247,7 +247,5 @@ fn main() {
             ],
         );
     }
-    if let Err(e) = rep.save(report::bench_file()) {
-        eprintln!("(could not write {}: {e})", report::BENCH_FILE);
-    }
+    report::publish(&rep);
 }

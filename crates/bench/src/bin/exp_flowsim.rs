@@ -23,7 +23,7 @@
 //! ```text
 //! cargo run --release -p bench --bin exp_flowsim -- \
 //!     [pods] [hosts-per-pod] [--engine hybrid|packet] [--epoch SECS] \
-//!     [--threads N] [--quick] [--bench]
+//!     [--quick] [--bench]
 //! ```
 //!
 //! Defaults: 64 pods × 16384 hosts (8 bundles × 2048 flows per pod),
@@ -93,7 +93,6 @@ fn run_epoch(
     bundles_per_pod: u16,
     flows_per_bundle: u32,
     hybrid: bool,
-    threads: Option<usize>,
     epoch: SimTime,
 ) -> EpochResult {
     let matrix = TrafficMatrix::heavy_tailed(SEED, pods, bundles_per_pod, flows_per_bundle);
@@ -162,12 +161,6 @@ fn run_epoch(
             .expect("free sink port");
         pairs.push((g, s, src, dst));
     }
-    if let Some(t) = threads {
-        let map = fx.shard_map();
-        net.set_shards(&map);
-        net.set_threads(t);
-    }
-
     net.run_until(T0);
     assert!(fx.all_pods_connected(&net), "fabric must converge by T0");
     let (e0, b0) = (net.events_processed(), net.delivered_bytes());
@@ -280,13 +273,13 @@ fn print_epoch(title: &str, r: &EpochResult, epoch: SimTime) {
 /// actually promoting, modeling and beating it on events.
 fn quick() {
     let epoch = SimTime::from_secs(150);
-    let packet = run_epoch(4, 8, 8, false, None, epoch);
+    let packet = run_epoch(4, 8, 8, false, epoch);
     print_epoch(
         "packet engine, 4 pods x 8 bundles x 8 flows",
         &packet,
         epoch,
     );
-    let hybrid = run_epoch(4, 8, 8, true, None, epoch);
+    let hybrid = run_epoch(4, 8, 8, true, epoch);
     print_epoch(
         "hybrid engine, 4 pods x 8 bundles x 8 flows",
         &hybrid,
@@ -327,13 +320,13 @@ fn quick() {
 /// `BENCH_netsim.json`. "Delivered" means payload bytes observed at the
 /// sinks — identical between the engines by the equivalence contract —
 /// not engine Deliver events (modeled frames ride none by design).
-fn bench_rows(threads: Option<usize>) {
+fn bench_rows() {
     let epoch = SimTime::from_secs(150);
-    let packet = run_epoch(16, 8, 64, false, threads, epoch);
+    let packet = run_epoch(16, 8, 64, false, epoch);
     print_epoch("packet engine, 16 pods x 512 hosts", &packet, epoch);
-    let hybrid = run_epoch(16, 8, 64, true, threads, epoch);
+    let hybrid = run_epoch(16, 8, 64, true, epoch);
     print_epoch("hybrid engine, 16 pods x 512 hosts", &hybrid, epoch);
-    let mut rep = report::Report::load(report::bench_file());
+    let mut rep = report::Report::new();
     rep.record(
         "flowsim/fabric_16x512/packet",
         &[
@@ -362,25 +355,13 @@ fn bench_rows(threads: Option<usize>) {
             ("wall_s", hybrid.wall.as_secs_f64()),
         ],
     );
-    if let Err(e) = rep.save(report::bench_file()) {
-        eprintln!("(could not write {}: {e})", report::BENCH_FILE);
-    } else {
+    if report::publish(&rep).is_some() {
         println!("\nrecorded flowsim rows to {}", report::BENCH_FILE);
     }
 }
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut threads: Option<usize> = None;
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let n = args.get(i + 1).and_then(|s| s.parse::<usize>().ok());
-        let Some(n) = n else {
-            eprintln!("--threads needs a non-negative integer (0 = auto-detect)");
-            std::process::exit(2);
-        };
-        threads = Some(n);
-        args.drain(i..=i + 1);
-    }
     let mut epoch = SimTime::from_secs(300);
     if let Some(i) = args.iter().position(|a| a == "--epoch") {
         let s = args.get(i + 1).and_then(|s| s.parse::<u64>().ok());
@@ -410,7 +391,7 @@ fn main() {
     }
     if let Some(i) = args.iter().position(|a| a == "--bench") {
         args.remove(i);
-        bench_rows(threads);
+        bench_rows();
         return;
     }
     let parse = |i: usize, default: u32| -> u32 {
@@ -421,14 +402,7 @@ fn main() {
     // 8 bundles per pod; hosts map to flows (64 x 16384 = 1,048,576).
     let bundles_per_pod: u16 = 8;
     let flows_per_bundle = (hosts_per_pod / u32::from(bundles_per_pod)).max(1);
-    let r = run_epoch(
-        pods,
-        bundles_per_pod,
-        flows_per_bundle,
-        hybrid,
-        threads,
-        epoch,
-    );
+    let r = run_epoch(pods, bundles_per_pod, flows_per_bundle, hybrid, epoch);
     print_epoch(
         &format!(
             "{} engine, {pods} pods x {hosts_per_pod} hosts",

@@ -366,14 +366,12 @@ fn ctrl_crash_no_backup(window: SimTime, mode: FailMode, plan: &'static str) -> 
 
 /// E9c — an impaired control channel from t = 0. The barrier
 /// fate-sharing resync must converge every rule table to the exact
-/// fault-free set, and the whole run must be bit-identical for any
-/// thread count.
+/// fault-free set.
 fn ctrl_lossy(
     window: SimTime,
     profile: CtrlProfile,
-    threads: Option<usize>,
     plan: &'static str,
-) -> (Report, CtrlSide, Vec<Vec<String>>, u64) {
+) -> (Report, CtrlSide, Vec<Vec<String>>) {
     let stop = window - SimTime::from_millis(400);
     let mut hx = build(7, stop);
     hx.fx.configure_direct(&mut hx.net);
@@ -382,17 +380,11 @@ fn ctrl_lossy(
     tune_switches(&mut hx, FailMode::Secure);
     attach_stations(&mut hx);
     hx.net.set_ctrl_profile(profile);
-    if let Some(t) = threads {
-        let map = hx.fx.shard_map();
-        hx.net.set_shards(&map);
-        hx.net.set_threads(t);
-    }
     hx.net.run_until(window);
     let rep = report(&mut hx, plan);
     let side = ctrl_side(&mut hx, plan, &[ctrl]);
     let rules = rule_fingerprint(&hx);
-    let events = hx.net.events_processed();
-    (rep, side, rules, events)
+    (rep, side, rules)
 }
 
 fn fmt_ms(ns: u64) -> String {
@@ -495,15 +487,13 @@ fn main() {
     }
 
     // E9c: 10% drop + dup + reorder on the control channel. The run
-    // must converge to the fault-free rule set and be bit-identical
-    // for every thread count.
+    // must converge to the fault-free rule set.
     {
         let profile = CtrlProfile::lossy(0.10)
             .with_dup(0.02)
             .with_reorder(0.05, SimTime::from_micros(200));
-        let (_, _, base_rules, _) =
-            ctrl_lossy(win, CtrlProfile::lossless(), None, "ctrl-lossless-baseline");
-        let (rep, mut side, rules, events) = ctrl_lossy(win, profile, Some(1), "ctrl-lossy-10pct");
+        let (_, _, base_rules) = ctrl_lossy(win, CtrlProfile::lossless(), "ctrl-lossless-baseline");
+        let (rep, mut side, rules) = ctrl_lossy(win, profile, "ctrl-lossy-10pct");
         side.rules_match = Some(rules == base_rules);
         assert_eq!(
             side.rules_match,
@@ -515,18 +505,6 @@ fn main() {
             side.ctrl.retransmitted > 0,
             "the resync layer re-sent unacked state"
         );
-        let thread_counts: &[usize] = if quick { &[2] } else { &[2, 4] };
-        for &t in thread_counts {
-            let (rep_t, side_t, rules_t, ev_t) =
-                ctrl_lossy(win, profile, Some(t), "ctrl-lossy-10pct");
-            let rx: Vec<u64> = rep.flows.iter().map(|f| f.received).collect();
-            let rx_t: Vec<u64> = rep_t.flows.iter().map(|f| f.received).collect();
-            assert_eq!(
-                (rx_t, rep_t.blackholed, ev_t, side_t.ctrl.dropped, rules_t),
-                (rx, rep.blackholed, events, side.ctrl.dropped, rules.clone()),
-                "lossy run must be bit-identical with {t} threads"
-            );
-        }
         reports.push(rep);
         sides.push(side);
     }
@@ -671,7 +649,6 @@ fn main() {
          detection window; fail-secure drops them (secure-drop) and\n\
          stays dark by design. On a 10% drop + dup + reorder channel\n\
          the barrier fate-sharing resync retransmits unacked state\n\
-         (retx) until the tables converge to the lossless rule set —\n\
-         bit-identical for 1, 2 and 4 worker threads."
+         (retx) until the tables converge to the lossless rule set."
     );
 }

@@ -167,13 +167,6 @@ fn throughput_with_rules(n_rules: u32, mode: PipelineMode) -> f64 {
 /// E3c: pods × hosts fabric, every host pings its partner in the next
 /// pod, one learning controller over all datapaths.
 ///
-/// With `threads = None` the classic single-queue loop runs the whole
-/// fabric; with `Some(n)` the network is sharded along
-/// [`harmless::Fabric::shard_map`] (one shard per pod + the system
-/// shard) and executed on the persistent worker pool (`n == 0`
-/// auto-detects via `available_parallelism`). Simulation results are
-/// identical either way — the engine only changes wall-clock.
-///
 /// With `arp_proxy` the fabric's host table feeds a controller-side
 /// [`ArpProxy`] chained before the learning app: who-has punts are
 /// answered at the pod edge and proactive routes keep unicast traffic
@@ -181,16 +174,8 @@ fn throughput_with_rules(n_rules: u32, mode: PipelineMode) -> f64 {
 /// O(hosts²) to one per host (asserted: ≤ hosts + pods).
 ///
 /// `rounds` ≥ 2 staggered all-hosts ping rounds run back to back;
-/// rounds past the first must be lossless with zero packet-ins. Round
-/// counts above 2 exercise the runtime's pool reuse — hundreds of
-/// `run_for` windows on the same parked workers.
-fn fabric_convergence(
-    n_pods: u16,
-    hosts_per_pod: u16,
-    threads: Option<usize>,
-    arp_proxy: bool,
-    rounds: u32,
-) {
+/// rounds past the first must be lossless with zero packet-ins.
+fn fabric_convergence(n_pods: u16, hosts_per_pod: u16, arp_proxy: bool, rounds: u32) {
     if n_pods < 2 || hosts_per_pod == 0 {
         eprintln!(
             "E3c needs at least 2 pods and 1 host per pod \
@@ -229,23 +214,6 @@ fn fabric_convergence(
                 .collect(),
         );
     }
-    if let Some(t) = threads {
-        net.set_shards(&fx.shard_map());
-        net.set_threads(t);
-    }
-    // Resolved after set_threads so `--threads 0` reports the detected
-    // count. The engine choice goes to stderr: stdout must stay
-    // byte-identical for every engine/thread configuration (the
-    // determinism contract).
-    let engine = match threads {
-        None => "single-queue".to_string(),
-        Some(_) => format!(
-            "sharded, {} shards, {} thread(s)",
-            n_pods + 1,
-            net.threads()
-        ),
-    };
-    eprintln!("(engine: {engine})");
     net.run_until(SimTime::from_millis(100));
     assert!(fx.all_pods_connected(&net));
 
@@ -303,9 +271,7 @@ fn fabric_convergence(
         .sum();
     let pi_round2 = net.node_ref::<ControllerNode>(ctrl).packet_ins() - pi_round1;
 
-    // Rounds 3..=rounds over the converged fabric (the CI smoke uses
-    // this to stress pool reuse: every round is hundreds of `run_for`
-    // windows on the same parked workers).
+    // Rounds 3..=rounds over the converged fabric.
     let t2 = std::time::Instant::now();
     for _ in 2..rounds {
         ping_round(&mut net, &fx, &hosts);
@@ -428,41 +394,29 @@ fn fabric_convergence(
     let wall_s = wall_round1.as_secs_f64() + wall_round2.as_secs_f64() + wall_extra.as_secs_f64();
     let events = net.events_processed();
     eprintln!(
-        "(host wall-clock: round 1 {:.2}s, round 2 {:.2}s, {:.0} events/s [{engine}])",
+        "(host wall-clock: round 1 {:.2}s, round 2 {:.2}s, {:.0} events/s)",
         wall_round1.as_secs_f64(),
         wall_round2.as_secs_f64(),
         events as f64 / wall_s
     );
-    let mut scenario = format!(
-        "scaling/fabric_{n_pods}x{hosts_per_pod}/{}",
-        match threads {
-            None => "single_queue".to_string(),
-            Some(_) => format!("sharded_t{}", net.threads()),
-        }
-    );
+    let mut scenario = format!("scaling/fabric_{n_pods}x{hosts_per_pod}/single_queue");
     if arp_proxy {
         scenario.push_str("_arpproxy");
     }
     if rounds != 2 {
         scenario.push_str(&format!("_r{rounds}"));
     }
-    let mut rep = report::Report::load(report::bench_file());
+    let mut rep = report::Report::new();
     rep.record(
         &scenario,
         &[
-            (
-                "threads",
-                threads.map(|_| net.threads()).unwrap_or(0) as f64,
-            ),
             ("events", events as f64),
             ("wall_s", wall_s),
             ("events_per_sec", events as f64 / wall_s),
             ("sim_s", net.now().as_secs_f64()),
         ],
     );
-    if let Err(e) = rep.save(report::bench_file()) {
-        eprintln!("(could not write {}: {e})", report::BENCH_FILE);
-    }
+    report::publish(&rep);
     assert_eq!(replies, total_pings, "round 1 must fully converge");
     assert_eq!(replies2 - replies, total_pings, "round 2 must be lossless");
     assert_eq!(
@@ -490,10 +444,7 @@ fn fabric_convergence(
     println!(
         "Reading: one reactive controller converges a {n_pods}-pod fabric in a\n\
          single ping round — every cross-pod path is pinned by round 2 and\n\
-         the control plane goes silent. Pods are the shard boundary the\n\
-         sharded event loop exploits: all flood fan-out stays inside the\n\
-         pod that triggered it, so each pod runs on its own queue (and\n\
-         thread) between uplink/controller synchronization horizons."
+         the control plane goes silent."
     );
     if arp_proxy {
         println!(
@@ -563,24 +514,6 @@ fn forwarding_sweep() {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--threads N` selects the sharded engine (one shard per pod + the
-    // system shard) on N worker threads — `0` auto-detects via
-    // `available_parallelism`; without the flag the classic single-queue
-    // loop runs, so the two engines can be compared on the same
-    // scenario.
-    let mut threads: Option<usize> = None;
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let n = args.get(i + 1).and_then(|s| s.parse::<usize>().ok());
-        let Some(n) = n else {
-            eprintln!(
-                "--threads needs a non-negative integer (0 = auto-detect; \
-                 omit the flag for the single-queue engine)"
-            );
-            std::process::exit(2);
-        };
-        threads = Some(n);
-        args.drain(i..=i + 1);
-    }
     // `--arp-proxy` turns on the fabric's controller-side flood
     // containment (FabricSpec::arp_proxy + the ArpProxy app).
     let mut arp_proxy = false;
@@ -606,19 +539,17 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("install") => install_sweep(),
         Some("forwarding") => forwarding_sweep(),
-        Some("fabric") => {
-            fabric_convergence(parse(1, 2), parse(2, 512), threads, arp_proxy, rounds)
-        }
+        Some("fabric") => fabric_convergence(parse(1, 2), parse(2, 512), arp_proxy, rounds),
         None => {
             install_sweep();
             forwarding_sweep();
-            fabric_convergence(2, 512, threads, arp_proxy, rounds);
+            fabric_convergence(2, 512, arp_proxy, rounds);
         }
         Some(other) => {
             eprintln!(
                 "unknown sub-experiment {other:?}; usage: \
                  exp_scaling [install|forwarding|fabric [pods] [hosts]] \
-                 [--threads N] [--arp-proxy] [--rounds N]"
+                 [--arp-proxy] [--rounds N]"
             );
             std::process::exit(2);
         }

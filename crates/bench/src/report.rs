@@ -7,13 +7,14 @@
 //!
 //! ```json
 //! {
-//!   "netloop/fabric_4x64/sharded_t2": {"events": 814218.0, "events_per_sec": 5220130.0, "threads": 2.0, "wall_s": 0.156},
+//!   "netloop/fabric_4x16/single_queue": {"events": 814218.0, "events_per_sec": 5220130.0, "wall_s": 0.156},
 //!   "scaling/fabric_4x512/single_queue": {"events": 9361472.0, "wall_s": 7.8}
 //! }
 //! ```
 //!
 //! Re-recording a scenario replaces its row and keeps everything else,
-//! so the file accumulates a trajectory across PRs. The reader is
+//! so the file accumulates a trajectory across PRs. Rows go to the file
+//! of the checkout the program runs in — see [`publish`]. The reader is
 //! deliberately restricted to the exact shape the writer produces (one
 //! scenario per line); foreign JSON is not a goal — this avoids growing
 //! a JSON parser in a benches-only crate.
@@ -22,16 +23,47 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Default file name, written at the repository root.
+/// File name of the trajectory, kept at the repository root.
 pub const BENCH_FILE: &str = "BENCH_netsim.json";
 
-/// Absolute path of [`BENCH_FILE`] at the repository root — stable no
-/// matter the working directory the caller runs under (`cargo run`
-/// uses the workspace root, `cargo bench` the package root).
-pub fn bench_file() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(BENCH_FILE)
+/// The [`BENCH_FILE`] in `dir` or in its nearest ancestor that has one.
+/// `cargo run` starts in the workspace root and `cargo bench` in the
+/// package root, so both find the repository's file.
+fn find_bench_file(dir: &Path) -> Option<PathBuf> {
+    dir.ancestors()
+        .map(|d| d.join(BENCH_FILE))
+        .find(|p| p.is_file())
+}
+
+/// Merge `rows` into the [`BENCH_FILE`] in the working directory or its
+/// nearest ancestor that has one, replacing rows with the same scenario
+/// id, and return the path written. Without such a file the rows are
+/// printed to stderr and nothing is written, so a binary never records
+/// into a checkout other than the one it runs in.
+pub fn publish(rows: &Report) -> Option<PathBuf> {
+    let dir = std::env::current_dir().unwrap_or_default();
+    publish_from(&dir, rows)
+}
+
+fn publish_from(dir: &Path, rows: &Report) -> Option<PathBuf> {
+    let Some(path) = find_bench_file(dir) else {
+        eprint!(
+            "(no {BENCH_FILE} at or above {}; rows not recorded)\n{}",
+            dir.display(),
+            rows.render()
+        );
+        return None;
+    };
+    let mut rep = Report::load(&path);
+    rep.entries
+        .extend(rows.entries.iter().map(|(k, v)| (k.clone(), v.clone())));
+    match rep.save(&path) {
+        Ok(()) => Some(path),
+        Err(e) => {
+            eprintln!("(could not write {}: {e})", path.display());
+            None
+        }
+    }
 }
 
 /// An ordered set of scenario rows, each a flat map of numeric fields.
@@ -157,8 +189,8 @@ mod tests {
     fn round_trips() {
         let mut r = Report::new();
         r.record(
-            "scaling/fabric_2x16/sharded_t2",
-            &[("events", 81234.0), ("wall_s", 0.125), ("threads", 2.0)],
+            "scaling/fabric_2x16/single_queue",
+            &[("events", 81234.0), ("wall_s", 0.125)],
         );
         r.record("netloop/x", &[("events_per_sec", 1.25e6)]);
         let text = r.render();
@@ -189,5 +221,76 @@ mod tests {
     fn load_missing_file_is_empty() {
         let r = Report::load("/nonexistent/definitely/missing.json");
         assert!(r.is_empty());
+    }
+
+    /// A fresh directory tree under the system temp dir, removed on drop.
+    struct TempTree(PathBuf);
+
+    impl TempTree {
+        fn new(name: &str) -> TempTree {
+            let root =
+                std::env::temp_dir().join(format!("bench-report-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            std::fs::create_dir_all(root.join("repo/crates/bench")).unwrap();
+            std::fs::create_dir_all(root.join("elsewhere")).unwrap();
+            TempTree(root)
+        }
+    }
+
+    impl Drop for TempTree {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    #[test]
+    fn bench_file_is_found_from_the_working_directory() {
+        let tree = TempTree::new("find");
+        let repo = tree.0.join("repo");
+        let file = repo.join(BENCH_FILE);
+        std::fs::write(&file, "{\n}\n").unwrap();
+        assert_eq!(find_bench_file(&repo), Some(file.clone()));
+        assert_eq!(
+            find_bench_file(&repo.join("crates/bench")),
+            Some(file.clone())
+        );
+        // A nearer file wins over an ancestor's.
+        let nearer = repo.join("crates").join(BENCH_FILE);
+        std::fs::write(&nearer, "{\n}\n").unwrap();
+        assert_eq!(find_bench_file(&repo.join("crates/bench")), Some(nearer));
+        // A directory outside the checkout does not see its file.
+        let outside = find_bench_file(&tree.0.join("elsewhere"));
+        assert_eq!(outside.filter(|p| p.starts_with(&tree.0)), None);
+    }
+
+    #[test]
+    fn publish_merges_into_the_found_file_and_writes_nothing_without_one() {
+        let tree = TempTree::new("publish");
+        let repo = tree.0.join("repo");
+        let file = repo.join(BENCH_FILE);
+        let mut old = Report::new();
+        old.record("a", &[("x", 1.0)]);
+        old.record("b", &[("x", 2.0)]);
+        old.save(&file).unwrap();
+        let mut rows = Report::new();
+        rows.record("a", &[("x", 3.0)]);
+        assert_eq!(
+            publish_from(&repo.join("crates/bench"), &rows),
+            Some(file.clone())
+        );
+        let back = Report::load(&file);
+        assert_eq!(back.get("a", "x"), Some(3.0));
+        assert_eq!(back.get("b", "x"), Some(2.0));
+
+        let elsewhere = tree.0.join("elsewhere");
+        if find_bench_file(&elsewhere).is_none() {
+            assert_eq!(publish_from(&elsewhere, &rows), None);
+            assert!(!elsewhere.join(BENCH_FILE).exists());
+        }
+        assert_eq!(
+            Report::load(&file),
+            back,
+            "the checkout's file is untouched"
+        );
     }
 }

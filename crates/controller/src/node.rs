@@ -232,11 +232,7 @@ pub enum PacketInVerdict {
 }
 
 /// A controller application.
-///
-/// Apps must be [`Send`] because the controller node (like every
-/// [`netsim::Node`]) can be moved onto a worker thread by the sharded
-/// simulator; only one thread ever touches an app at a time.
-pub trait App: 'static + Send {
+pub trait App: 'static {
     /// Name for diagnostics.
     fn name(&self) -> &str;
 

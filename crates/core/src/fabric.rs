@@ -28,12 +28,6 @@
 //! the topology `HarmlessSpec::build` always built — the fabric layer is
 //! a superset, not a replacement, of the paper's Fig. 1.
 //!
-//! Pods are also the natural *shard boundary* for scaling the simulator:
-//! all high-rate traffic inside a pod stays inside its three nodes, and
-//! only inter-pod frames cross an uplink, so a sharded event loop can
-//! run one pod per core and synchronise on uplink delays (see
-//! ROADMAP.md).
-//!
 //! ```
 //! use harmless::fabric::{FabricSpec, Interconnect};
 //! use harmless::instance::HarmlessSpec;
@@ -77,7 +71,7 @@ use netsim::flowsim::{FlowBundleSpec, FlowHop};
 use netsim::host::Host;
 use netsim::stats::Rollup;
 use netsim::traffic::{Generator, Sink};
-use netsim::{LinkSpec, Network, NodeId, PortId, ShardMap};
+use netsim::{LinkSpec, Network, NodeId, PortId};
 use openflow::NatDir;
 use softswitch::{NatConfig, SoftSwitchNode};
 
@@ -1154,9 +1148,7 @@ impl Fabric {
     /// retraction the stale `eth_dst` routes at the old pod would keep
     /// matching and silently blackhole all traffic to the moved host.
     ///
-    /// Callable between `run_*` calls; re-derive [`Self::shard_map`]
-    /// afterwards if the fabric is sharded, so the host's events live on
-    /// its new pod's shard.
+    /// Callable between `run_*` calls.
     pub fn migrate_host(
         &mut self,
         net: &mut Network,
@@ -1412,33 +1404,6 @@ impl Fabric {
             }
         }
         r
-    }
-
-    /// The natural [`ShardMap`] of this fabric for the sharded event
-    /// engine (`Network::set_shards`): pod `p`'s switches and attached
-    /// stations go to shard `p + 1`; shard 0 — the *system shard* — keeps
-    /// everything else (the spine, the controller, managers and any node
-    /// this fabric does not know about). Pods only talk to each other
-    /// through spine/line uplinks and to the controller through the
-    /// control channel, so those are the only cross-shard edges and the
-    /// engine's lookahead is `min(uplink delay, ctrl delay)`.
-    ///
-    /// Call after all hosts are attached; nodes attached later default to
-    /// shard 0, which is correct for management nodes but serializes
-    /// data-plane traffic of late-attached stations.
-    pub fn shard_map(&self) -> ShardMap {
-        let mut map = ShardMap::new(self.pods.len() + 1);
-        for (p, pod) in self.pods.iter().enumerate() {
-            map.assign(pod.legacy, p + 1);
-            if let Some(ss1) = pod.ss1 {
-                map.assign(ss1, p + 1);
-            }
-            map.assign(pod.ss2, p + 1);
-        }
-        for (&(pod, _port), &node) in &self.attached {
-            map.assign(node, pod + 1);
-        }
-        map
     }
 
     /// Configure every pod through the direct (non-SNMP) path: legacy
@@ -1789,79 +1754,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_map_puts_pods_on_their_own_shards() {
-        let mut net = Network::new(3);
-        let ctrl = learning_ctrl(&mut net);
-        let mut fx = FabricSpec::new(2, HarmlessSpec::new(2))
-            .with_interconnect(Interconnect::SpineSoft)
-            .build(&mut net)
-            .unwrap();
-        let a = fx.attach_host(&mut net, 0, 1).unwrap();
-        let b = fx.attach_host(&mut net, 1, 1).unwrap();
-        let map = fx.shard_map();
-        assert_eq!(map.n_shards(), 3);
-        assert_eq!(map.shard_of(ctrl), 0, "controller stays on system shard");
-        assert_eq!(map.shard_of(fx.spine().unwrap().node()), 0);
-        assert_eq!(map.shard_of(fx.pod(0).legacy), 1);
-        assert_eq!(map.shard_of(fx.pod(0).ss2), 1);
-        assert_eq!(map.shard_of(a), 1);
-        assert_eq!(map.shard_of(fx.pod(1).ss2), 2);
-        assert_eq!(map.shard_of(b), 2);
-        assert_eq!(fx.attached_node(0, 1), Some(a));
-        assert_eq!(fx.attached_node(0, 2), None);
-    }
-
-    #[test]
-    fn sharded_fabric_pings_cross_pod_on_any_thread_count() {
-        let run = |threads: Option<usize>| -> (u64, u64, u64) {
-            let mut net = Network::new(77);
-            let ctrl = learning_ctrl(&mut net);
-            let mut fx = FabricSpec::new(3, HarmlessSpec::new(2))
-                .with_interconnect(Interconnect::SpineSoft)
-                .build(&mut net)
-                .unwrap();
-            fx.configure_direct(&mut net);
-            fx.connect_controller(&mut net, ctrl);
-            let a = fx.attach_host(&mut net, 0, 1).unwrap();
-            let b = fx.attach_host(&mut net, 2, 1).unwrap();
-            if let Some(t) = threads {
-                net.set_shards(&fx.shard_map());
-                net.set_threads(t);
-            }
-            net.run_until(SimTime::from_millis(100));
-            let ip = fx.host_ip(2, 1);
-            net.with_node_ctx::<Host, _>(a, |h, ctx| {
-                h.ping(b"sharded", ip);
-                h.flush(ctx);
-            });
-            net.run_until(SimTime::from_millis(600));
-            (
-                net.node_ref::<Host>(a).echo_replies_received(),
-                net.node_ref::<Host>(b).echo_requests_answered(),
-                net.events_processed(),
-            )
-        };
-        let (r1, a1, e1) = run(Some(1));
-        for threads in [2, 4] {
-            assert_eq!(run(Some(threads)), (r1, a1, e1), "threads={threads}");
-        }
-        assert_eq!(r1, 1);
-        assert_eq!(a1, 1);
-        // And the sharded engine reaches the same converged state as the
-        // classic single-queue loop.
-        let (lr, la, _) = run(None);
-        assert_eq!((lr, la), (r1, a1));
-    }
-
-    #[test]
-    fn faulted_fabric_is_bit_identical_for_any_thread_count() {
+    fn faulted_fabric_is_deterministic() {
         use netsim::FaultPlan;
         // A 4-pod fabric under live cross-pod traffic with an uplink
-        // flap, a softswitch power-cycle and a legacy reboot. The fault
-        // events ride the shard machinery, so every thread count — and
-        // the classic unsharded loop — must produce the same replies,
-        // the same blackhole count and the same event total.
-        let run = |threads: Option<usize>| -> (u64, u64, u64, u64) {
+        // flap, a softswitch power-cycle and a legacy reboot. Two runs
+        // with the same seed must produce the same replies, the same
+        // blackhole count and the same event total.
+        let run = || -> (u64, u64, u64, u64) {
             let mut net = Network::new(21);
             let ctrl = net.add_node(ControllerNode::new(
                 "ctrl",
@@ -1877,10 +1776,6 @@ mod tests {
             let hosts: Vec<NodeId> = (0..4)
                 .map(|p| fx.attach_host(&mut net, p, 1).unwrap())
                 .collect();
-            if let Some(t) = threads {
-                net.set_shards(&fx.shard_map());
-                net.set_threads(t);
-            }
             let uplink = PortId(fx.pod(1).uplink_port(1) as u16);
             let plan = FaultPlan::new()
                 .link_flap(
@@ -1918,15 +1813,10 @@ mod tests {
                 resets,
             )
         };
-        let baseline = run(Some(1));
+        let baseline = run();
         assert_eq!(baseline.3, 2, "both scheduled resets fired");
         assert!(baseline.0 > 0, "traffic still flows around the faults");
-        for threads in [2, 4] {
-            assert_eq!(run(Some(threads)), baseline, "threads={threads}");
-        }
-        // The unsharded loop reaches the same converged state.
-        let (ur, ub, _, ures) = run(None);
-        assert_eq!((ur, ub, ures), (baseline.0, baseline.1, baseline.3));
+        assert_eq!(run(), baseline);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub enum SnmpOp {
 }
 
 /// A vendor dialect: compiles intents into SNMP operations.
-pub trait VendorDialect: Send {
+pub trait VendorDialect {
     /// Dialect name, e.g. `"qbridge"`.
     fn name(&self) -> &str;
 

@@ -4,9 +4,8 @@
 //! A [`FaultPlan`] is a declarative schedule of faults built before (or
 //! between) `run_*` calls and armed with
 //! [`crate::Network::apply_faults`]. Each entry becomes an ordinary
-//! event in the owning shard's queue, so faults ride the same
-//! conservative window machinery as frames and timers: the schedule is
-//! **bit-identical for any thread count**.
+//! event in the network's queue, ordered with frames and timers by
+//! `(time, sequence-number)`, so a faulted run is deterministic.
 //!
 //! Semantics:
 //!
@@ -23,23 +22,19 @@
 //! * **Ctrl down / up** — the named node is partitioned from the
 //!   out-of-band control plane: control messages from or to it are
 //!   discarded at send time (and on delivery, for messages already in
-//!   flight when the partition begins). The partition state is
-//!   replicated into **every** shard's queue at the same instant, so a
-//!   sender's shard can decide locally and the schedule stays
-//!   bit-identical for any thread count.
+//!   flight when the partition begins).
 //!
 //! Beyond scheduled faults, a stochastic [`CtrlProfile`] (armed with
 //! [`crate::Network::set_ctrl_profile`]) impairs every control message
 //! with probabilistic drop, duplication, bounded reorder jitter and
-//! fixed extra delay. Decisions are drawn from the **sending shard's**
-//! RNG stream at send time — the only point where the message order is
-//! already deterministic — and extra latency is always added on top of
-//! the base control delay, so the conservative lookahead still holds
-//! and lossy runs remain bit-identical for any thread count.
+//! fixed extra delay. Decisions are drawn from the network's RNG
+//! stream at send time — the point where the message order is already
+//! fixed — and extra latency is always added on top of the base control
+//! delay.
 //!
 //! Blackholed frames are counted (per direction in
-//! [`crate::LinkStats::blackholed_frames`], in-flight losses at the
-//! shard) and totalled by [`crate::Network::blackholed_frames`];
+//! [`crate::LinkStats::blackholed_frames`], in-flight losses by the
+//! network) and totalled by [`crate::Network::blackholed_frames`];
 //! control-message impairments are counted per channel in
 //! [`crate::stats::CtrlStats`] and totalled by
 //! [`crate::Network::ctrl_stats`].
@@ -94,10 +89,9 @@ pub enum Fault {
 /// probability `reorder` by a uniform extra delay in
 /// `(0, reorder_bound]`, which lets it overtake or fall behind
 /// neighbouring sends — a *bounded* reorder. `extra_delay` is added to
-/// every message unconditionally. All randomness comes from the sending
-/// shard's RNG stream, so an armed profile is bit-identical for any
-/// thread count; a no-op profile (the default) draws nothing and leaves
-/// historical RNG streams untouched.
+/// every message unconditionally. All randomness comes from the
+/// network's RNG stream; a no-op profile (the default) draws nothing
+/// and leaves the stream untouched.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CtrlProfile {
     /// Probability each message is discarded.
@@ -171,8 +165,7 @@ impl CtrlProfile {
 ///
 /// Build with the chained constructors, then arm it with
 /// [`crate::Network::apply_faults`]. Entries at the same instant fire
-/// in insertion order; the whole schedule is independent of the thread
-/// count.
+/// in insertion order.
 ///
 /// ```
 /// use netsim::{FaultPlan, NodeId, PortId, SimTime};

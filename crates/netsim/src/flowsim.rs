@@ -33,11 +33,10 @@
 //!   resumes at its next CBR slot — which consumes no RNG, so every
 //!   other random stream in the simulation is untouched.
 //!
-//! Determinism for any `--threads` holds by construction: the driver
-//! slices the run at fixed window multiples (and
-//! [`Network::run_until`] slicing is result-neutral), reads/mutates
-//! nodes only between slices on the driver thread, and draws no
-//! randomness of its own.
+//! Determinism holds by construction: the driver slices the run at
+//! fixed window multiples (and [`Network::run_until`] slicing is
+//! result-neutral), reads/mutates nodes only between slices, and draws
+//! no randomness of its own.
 //!
 //! The one modeling assumption: converged frames do not contend with
 //! packet-level traffic in switch service queues (their service cost is

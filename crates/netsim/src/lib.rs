@@ -17,14 +17,11 @@
 //! * [`flowsim`] — the flow-level hybrid engine: cache-resident flows
 //!   promoted out of the packet engine and advanced analytically.
 //!
-//! The simulator is fully deterministic: within a shard, events are
-//! ordered by `(time, sequence-number)` and all randomness flows from
-//! seeded per-shard RNG streams. By default a network is one shard and
-//! runs the classic sequential loop; [`Network::set_shards`] splits it
-//! along a [`ShardMap`] (one shard per fabric pod plus a system shard)
-//! and [`Network::set_threads`] runs the shards on worker threads with
-//! conservative lookahead synchronization — see the [`shard`] module.
-//! Results are bit-identical for every thread count.
+//! The simulator is fully deterministic: a network runs one event
+//! queue on the calling thread, events are ordered by
+//! `(time, sequence-number)`, and all randomness flows from one RNG
+//! stream seeded by [`Network::new`]. The same seed and inputs give
+//! byte-identical results.
 //!
 //! ## Example
 //!
@@ -51,9 +48,7 @@ pub mod link;
 pub mod measure;
 pub mod net;
 pub mod node;
-pub mod runtime;
 pub mod service;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod traffic;
@@ -63,7 +58,5 @@ pub use flowsim::{FlowBundleSpec, FlowHop, FlowSim, HybridStats};
 pub use link::{LinkSpec, LinkStats};
 pub use net::{Network, NodeId};
 pub use node::{Node, NodeCtx, PortId};
-pub use runtime::RuntimeStats;
-pub use shard::ShardMap;
 pub use stats::{Counter, CtrlStats, Histogram, Rollup, SloMeter};
 pub use time::SimTime;

@@ -1,22 +1,21 @@
-//! The simulation event loop: a facade over one or more event
-//! [`Shard`](crate::shard)s.
+//! The simulation event loop: one event queue ordered by
+//! `(time, sequence-number)`.
 //!
-//! An unsharded [`Network`] (the default) is a single shard running the
-//! classic sequential single-queue loop — behavior, event order and RNG
-//! stream are identical to the historical simulator. Call
-//! [`Network::set_shards`] to split the network along a
-//! [`ShardMap`] and [`Network::set_threads`] to run the shards on worker
-//! threads; see the [`crate::shard`] module docs for the conservative
-//! synchronization protocol.
+//! Every node, link direction and pending event of a [`Network`] lives
+//! in this one queue and is processed on the calling thread. Events at
+//! the same instant fire in the order they were scheduled, and all
+//! device randomness comes from one `StdRng` stream seeded with the
+//! network seed, so a run is a pure function of its seed and inputs.
 
 use bytes::Bytes;
-use std::sync::Arc;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::fault::{CtrlProfile, Fault, FaultPlan};
 use crate::link::{LinkDir, LinkSpec, LinkStats};
-use crate::node::{Node, NodeCtx, PortId};
-use crate::runtime::{Runtime, RuntimeStats};
-use crate::shard::{Chan, Env, Ev, FaultEv, Loc, Remote, Shard, ShardMap};
+use crate::node::{Action, Node, NodeCtx, PortId};
 use crate::stats::CtrlStats;
 use crate::time::SimTime;
 
@@ -30,24 +29,116 @@ impl core::fmt::Display for NodeId {
     }
 }
 
-/// A complete simulated network: nodes, links and the event queue(s).
+/// Queued events. Nodes are referenced by their [`NodeId`] index.
+#[derive(Debug)]
+enum Ev {
+    /// A frame finishes arriving at a node's port.
+    Deliver {
+        node: u32,
+        port: PortId,
+        frame: Bytes,
+    },
+    /// A device timer fires.
+    Timer { node: u32, token: u64 },
+    /// A control-plane message arrives.
+    Ctrl {
+        node: u32,
+        from: NodeId,
+        data: Bytes,
+    },
+    /// A link serializer finishes the current frame.
+    TxDone { chan: u32 },
+    /// A delayed transmit enters the egress queue.
+    Emit {
+        node: u32,
+        port: PortId,
+        frame: Bytes,
+    },
+    /// A scheduled fault fires (see [`crate::fault::FaultPlan`]).
+    Fault(FaultEv),
+}
+
+/// Fault events. A full link-down schedules one event per direction at
+/// the same instant, which keeps fault processing inside the normal
+/// `(at, seq)` order.
+#[derive(Debug, Clone, Copy)]
+enum FaultEv {
+    /// Take one egress direction down (queued frames blackhole).
+    LinkDown { chan: u32 },
+    /// Bring one egress direction back up.
+    LinkUp { chan: u32 },
+    /// Power-cycle a node: fires [`Node::on_reset`].
+    Reset { node: u32 },
+    /// Partition a node from the control plane.
+    CtrlDown { node: NodeId },
+    /// Heal a node's control-plane partition.
+    CtrlUp { node: NodeId },
+}
+
+struct Sched {
+    at: SimTime,
+    seq: u64,
+    ev: Ev,
+}
+
+impl PartialEq for Sched {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl Eq for Sched {}
+impl PartialOrd for Sched {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Sched {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert so earliest (time, seq) pops first.
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// One egress channel: the transmitting half of a duplex link.
+struct Chan {
+    dir: LinkDir,
+    peer: NodeId,
+    peer_port: PortId,
+}
+
+/// A complete simulated network: nodes, links and the event queue.
 ///
 /// Deterministic given the seed passed to [`Network::new`]; all device
-/// randomness must come from [`NodeCtx::rng`]. Sharded networks are
-/// additionally deterministic in the *thread count*: any `set_threads`
-/// value produces bit-identical simulation results.
+/// randomness must come from [`NodeCtx::rng`].
 pub struct Network {
     now: SimTime,
-    seed: u64,
-    shards: Vec<Shard>,
-    /// Global node id → (shard, local index).
-    loc: Arc<Vec<Loc>>,
+    seq: u64,
+    queue: BinaryHeap<Sched>,
+    nodes: Vec<Box<dyn Node>>,
+    started: Vec<bool>,
+    /// Per-node egress map: `ports[node][port] = Some(chan)` — a plain
+    /// vector lookup on the `emit` hot path (one per frame hop).
+    ports: Vec<Vec<Option<u32>>>,
+    chans: Vec<Chan>,
+    rng: StdRng,
     ctrl_delay: SimTime,
     ctrl_profile: CtrlProfile,
-    /// The persistent worker pool and mailbox buffer pools (see
-    /// [`crate::runtime`]).
-    runtime: Runtime,
-    tracing: bool,
+    /// Control-plane partition state, indexed by node id.
+    ctrl_blocked: Vec<bool>,
+    /// Per-channel control impairment counters, keyed by the
+    /// `(from, to)` node pair.
+    ctrl_stats: HashMap<(usize, usize), CtrlStats>,
+    unconnected_drops: u64,
+    events_processed: u64,
+    /// Frames actually handed to a node's `on_packet`/`on_frames` — the
+    /// packet-level delivery volume the flow-level engine compares its
+    /// modeled volume against.
+    delivered_frames: u64,
+    /// Bytes of those delivered frames.
+    delivered_bytes: u64,
+    /// Frames that finished their flight into a port whose link was down
+    /// on arrival.
+    blackholed_in_flight: u64,
 }
 
 impl Network {
@@ -55,33 +146,33 @@ impl Network {
     pub fn new(seed: u64) -> Network {
         Network {
             now: SimTime::ZERO,
-            seed,
-            shards: vec![Shard::new(0, Shard::rng_stream(seed, 0))],
-            loc: Arc::new(Vec::new()),
+            seq: 0,
+            queue: BinaryHeap::new(),
+            nodes: Vec::new(),
+            started: Vec::new(),
+            ports: Vec::new(),
+            chans: Vec::new(),
+            rng: StdRng::seed_from_u64(seed),
             ctrl_delay: SimTime::from_micros(50),
             ctrl_profile: CtrlProfile::default(),
-            runtime: Runtime::new(),
-            tracing: false,
+            ctrl_blocked: Vec::new(),
+            ctrl_stats: HashMap::new(),
+            unconnected_drops: 0,
+            events_processed: 0,
+            delivered_frames: 0,
+            delivered_bytes: 0,
+            blackholed_in_flight: 0,
         }
     }
 
-    fn env(&self) -> Env {
-        Env {
-            loc: Arc::clone(&self.loc),
-            ctrl_delay: self.ctrl_delay,
-            ctrl_profile: self.ctrl_profile,
-        }
-    }
-
-    /// Register a device; returns its id. Nodes added after
-    /// [`Network::set_shards`] land on shard 0 (the system shard) — this
-    /// is where mid-run management nodes such as migration managers
-    /// belong.
+    /// Register a device; returns its id. Nodes added between `run_*`
+    /// calls get their [`Node::on_start`] at the start of the next run.
     pub fn add_node(&mut self, node: impl Node) -> NodeId {
-        let gid = NodeId(self.loc.len());
-        let idx = self.shards[0].add_node(Box::new(node), gid);
-        Arc::make_mut(&mut self.loc).push(Loc { shard: 0, idx });
-        gid
+        let id = NodeId(self.nodes.len());
+        self.nodes.push(Box::new(node));
+        self.started.push(false);
+        self.ports.push(Vec::new());
+        id
     }
 
     /// Connect `(a, pa)` to `(b, pb)` with a duplex link.
@@ -90,26 +181,49 @@ impl Network {
     /// Panics if either port is already connected, or `a == b` with the
     /// same port.
     pub fn connect(&mut self, a: NodeId, pa: PortId, b: NodeId, pb: PortId, spec: LinkSpec) {
-        let la = self.loc[a.0];
-        let lb = self.loc[b.0];
-        let chan_a = self.shards[la.shard as usize].chans.len() as u32;
-        self.shards[la.shard as usize].chans.push(Chan {
+        let chan_a = self.chans.len() as u32;
+        self.chans.push(Chan {
             dir: LinkDir::new(spec),
             peer: b,
             peer_port: pb,
-            peer_shard: lb.shard,
-            peer_idx: lb.idx,
         });
-        self.shards[la.shard as usize].set_port(la.idx, pa, chan_a);
-        let chan_b = self.shards[lb.shard as usize].chans.len() as u32;
-        self.shards[lb.shard as usize].chans.push(Chan {
+        self.set_port(a, pa, chan_a);
+        let chan_b = self.chans.len() as u32;
+        self.chans.push(Chan {
             dir: LinkDir::new(spec),
             peer: a,
             peer_port: pa,
-            peer_shard: la.shard,
-            peer_idx: la.idx,
         });
-        self.shards[lb.shard as usize].set_port(lb.idx, pb, chan_b);
+        self.set_port(b, pb, chan_b);
+    }
+
+    /// Map `(node, port)` to an egress channel.
+    ///
+    /// # Panics
+    /// Panics if the port is already connected.
+    fn set_port(&mut self, node: NodeId, port: PortId, chan: u32) {
+        let row = &mut self.ports[node.0];
+        let p = usize::from(port.0);
+        if row.len() <= p {
+            row.resize(p + 1, None);
+        }
+        if let Some(old) = row[p] {
+            // A dead channel (torn out by a host detach) may be replaced
+            // on re-attach; it stays allocated as a tombstone so pending
+            // TxDone events referencing it resolve safely.
+            assert!(
+                self.chans[old as usize].dir.dead,
+                "port {port} of {node} already connected"
+            );
+        }
+        row[p] = Some(chan);
+    }
+
+    fn chan_of(&self, node: u32, port: PortId) -> Option<u32> {
+        self.ports[node as usize]
+            .get(usize::from(port.0))
+            .copied()
+            .flatten()
     }
 
     /// Current simulated time.
@@ -118,32 +232,29 @@ impl Network {
     }
 
     /// Number of events processed so far (for runaway detection in tests
-    /// and events/second reporting). Summed across shards.
+    /// and events/second reporting).
     pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events_processed).sum()
+        self.events_processed
     }
 
     /// Frames transmitted to unconnected ports so far.
     pub fn unconnected_drops(&self) -> u64 {
-        self.shards.iter().map(|s| s.unconnected_drops).sum()
+        self.unconnected_drops
     }
 
-    /// Frames handed to node callbacks so far, summed across shards —
-    /// the packet-level delivery volume ([`crate::flowsim`] reports its
-    /// modeled volume alongside this).
+    /// Frames handed to node callbacks so far — the packet-level
+    /// delivery volume ([`crate::flowsim`] reports its modeled volume
+    /// alongside this).
     pub fn delivered_frames(&self) -> u64 {
-        self.shards.iter().map(|s| s.delivered_frames).sum()
+        self.delivered_frames
     }
 
-    /// Bytes of frames handed to node callbacks so far, summed across
-    /// shards.
+    /// Bytes of frames handed to node callbacks so far.
     pub fn delivered_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.delivered_bytes).sum()
+        self.delivered_bytes
     }
 
-    /// Set the out-of-band control channel delay (default 50 µs). In a
-    /// sharded network this is part of the synchronization lookahead and
-    /// must stay positive.
+    /// Set the out-of-band control channel delay (default 50 µs).
     pub fn set_ctrl_delay(&mut self, d: SimTime) {
         self.ctrl_delay = d;
     }
@@ -153,8 +264,7 @@ impl Network {
     /// reorder jitter and fixed extra delay applied to every control
     /// message from its send instant on. Call between `run_*`
     /// invocations. Extra latency is added *on top of* the base control
-    /// delay, so the conservative lookahead is untouched and lossy runs
-    /// stay bit-identical for any thread count.
+    /// delay.
     pub fn set_ctrl_profile(&mut self, profile: CtrlProfile) {
         self.ctrl_profile = profile;
     }
@@ -170,25 +280,22 @@ impl Network {
     /// layer and stays 0 here).
     pub fn ctrl_stats(&self) -> CtrlStats {
         let mut total = CtrlStats::default();
-        for s in &self.shards {
-            for st in s.ctrl_stats.values() {
-                total.merge(st);
-            }
+        for st in self.ctrl_stats.values() {
+            total.merge(st);
         }
         total
     }
 
-    /// Impairment counters of the directed control channel `from → to`
-    /// (summed across shards: send-side impairments live in the
-    /// sender's shard, in-flight partition drops in the receiver's).
+    /// Impairment counters of the directed control channel `from → to`.
     pub fn ctrl_channel_stats(&self, from: NodeId, to: NodeId) -> CtrlStats {
-        let mut total = CtrlStats::default();
-        for s in &self.shards {
-            if let Some(st) = s.ctrl_stats.get(&(from.0, to.0)) {
-                total.merge(st);
-            }
-        }
-        total
+        self.ctrl_stats
+            .get(&(from.0, to.0))
+            .copied()
+            .unwrap_or_default()
+    }
+
+    fn ctrl_stat(&mut self, from: NodeId, to: NodeId) -> &mut CtrlStats {
+        self.ctrl_stats.entry((from.0, to.0)).or_default()
     }
 
     /// Partition `node` from the out-of-band control plane *now*:
@@ -200,286 +307,45 @@ impl Network {
     /// re-attach. Call between `run_*` invocations; scheduled variants
     /// live in [`FaultPlan::ctrl_down`](crate::FaultPlan::ctrl_down).
     pub fn ctrl_down(&mut self, node: NodeId) {
-        for s in &mut self.shards {
-            s.set_ctrl_blocked(node, true);
-        }
+        self.set_ctrl_blocked(node, true);
     }
 
     /// Heal `node`'s control-plane partition *now*.
     pub fn ctrl_up(&mut self, node: NodeId) {
-        for s in &mut self.shards {
-            s.set_ctrl_blocked(node, false);
-        }
+        self.set_ctrl_blocked(node, false);
     }
 
     /// Whether `node` is currently partitioned from the control plane.
     pub fn ctrl_is_down(&self, node: NodeId) -> bool {
-        self.shards[0].ctrl_blocked(node)
+        self.ctrl_blocked.get(node.0).copied().unwrap_or(false)
     }
 
-    /// Number of shards (1 unless [`Network::set_shards`] was called).
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Worker threads used to run a sharded network (default 1; already
-    /// resolved if `set_threads(0)` asked for auto-detection).
-    pub fn threads(&self) -> usize {
-        self.runtime.threads()
-    }
-
-    /// Run shards on `n` worker threads. `n == 0` auto-detects via
-    /// [`std::thread::available_parallelism`]. The thread count never
-    /// changes simulation results — only wall-clock time. With a
-    /// resolved count of 1 the shards run interleaved on the calling
-    /// thread, windows and barriers included, so `--threads 1` and
-    /// `--threads 8` are bit-identical.
-    ///
-    /// For counts above 1 this is where the persistent worker pool is
-    /// (re)created: workers spawn here, park between runs and windows,
-    /// and are joined only when the network drops or the count changes —
-    /// `run_until`/`run_for` never spawn threads (see
-    /// [`crate::runtime`]).
-    pub fn set_threads(&mut self, n: usize) {
-        let n = if n == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            n
-        };
-        self.runtime.configure(n);
-    }
-
-    /// Resource counters of the execution runtime (worker spawns,
-    /// mailbox-buffer allocations, windows executed).
-    pub fn runtime_stats(&self) -> RuntimeStats {
-        self.runtime.stats()
-    }
-
-    /// Split the network into the shards described by `map`: per-shard
-    /// node/link/queue/RNG state with conservative barrier
-    /// synchronization (see [`crate::shard`]). Typically called once,
-    /// after the topology is built — derive the map from a fabric with
-    /// `Fabric::shard_map` in the `harmless` crate.
-    ///
-    /// Pending events move to their target's shard; shard 0 keeps the
-    /// current RNG stream and counters. Nodes added later default to
-    /// shard 0.
-    ///
-    /// # Panics
-    /// Panics if the network is already sharded, or if `map` assigns a
-    /// node this network does not have.
-    pub fn set_shards(&mut self, map: &ShardMap) {
-        assert!(
-            self.shards.len() == 1,
-            "network is already sharded; set_shards can only be called once"
-        );
-        if let Some(max) = map.max_assigned_node() {
-            assert!(
-                max.0 < self.loc.len(),
-                "shard map assigns {max}, but the network only has {} nodes \
-                 (was the map built before all nodes were added?)",
-                self.loc.len()
-            );
+    fn set_ctrl_blocked(&mut self, node: NodeId, blocked: bool) {
+        if self.ctrl_blocked.len() <= node.0 {
+            self.ctrl_blocked.resize(node.0 + 1, false);
         }
-        let n = map.n_shards();
-        let mut old = self.shards.pop().expect("single shard");
-        let mut shards: Vec<Shard> = (0..n)
-            .map(|k| Shard::new(k as u32, Shard::rng_stream(self.seed, k as u32)))
-            .collect();
-        shards[0].rng = std::mem::replace(&mut old.rng, Shard::rng_stream(self.seed, 0));
-        shards[0].events_processed = old.events_processed;
-        shards[0].unconnected_drops = old.unconnected_drops;
-        for s in &mut shards {
-            s.now = old.now;
-            if self.tracing {
-                s.trace = Some(Vec::new());
-            }
-        }
-        shards[0].trace = old.trace.take();
-        // Every shard starts from the same replica of the partition
-        // state; accumulated per-channel counters stay on shard 0.
-        for s in &mut shards {
-            s.ctrl_blocked = old.ctrl_blocked.clone();
-        }
-        shards[0].ctrl_stats = std::mem::take(&mut old.ctrl_stats);
-
-        // Nodes (with their port rows and started flags).
-        let n_nodes = old.nodes.len();
-        let mut loc = Vec::with_capacity(n_nodes);
-        let old_started = std::mem::take(&mut old.started);
-        let old_ports = std::mem::take(&mut old.ports);
-        for (i, node) in std::mem::take(&mut old.nodes).into_iter().enumerate() {
-            let gid = NodeId(i);
-            let target = map.shard_of(gid);
-            assert!(target < n, "node {gid} assigned to out-of-range shard");
-            let sh = &mut shards[target];
-            let idx = sh.add_node(node, gid);
-            sh.started[idx as usize] = old_started[i];
-            sh.ports[idx as usize] = old_ports[i].clone();
-            loc.push(Loc {
-                shard: target as u32,
-                idx,
-            });
-        }
-
-        // Channels follow their transmitting node; peers are re-resolved
-        // against the new locations.
-        let mut old_chans: Vec<Option<Chan>> = std::mem::take(&mut old.chans)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut chan_remap: Vec<Option<(u32, u32)>> = vec![None; old_chans.len()];
-        for (i, l) in loc.iter().enumerate() {
-            debug_assert_eq!(shards[l.shard as usize].gids[l.idx as usize], NodeId(i));
-            let n_ports = shards[l.shard as usize].ports[l.idx as usize].len();
-            for p in 0..n_ports {
-                let Some(old_c) = shards[l.shard as usize].ports[l.idx as usize][p] else {
-                    continue;
-                };
-                let mut chan = old_chans[old_c as usize]
-                    .take()
-                    .expect("each channel has exactly one owner");
-                let pl = loc[chan.peer.0];
-                chan.peer_shard = pl.shard;
-                chan.peer_idx = pl.idx;
-                let sh = &mut shards[l.shard as usize];
-                let new_c = sh.chans.len() as u32;
-                sh.chans.push(chan);
-                sh.ports[l.idx as usize][p] = Some(new_c);
-                chan_remap[old_c as usize] = Some((l.shard, new_c));
-            }
-        }
-
-        // Pending events migrate to the shard of their target, keeping
-        // global (time, seq) order so re-assigned sequence numbers stay
-        // deterministic.
-        for sched in old.drain_events() {
-            let (target, ev) = match sched.ev {
-                // In the old single shard, local index == global id.
-                Ev::Deliver { node, port, frame } => {
-                    let l = loc[node as usize];
-                    (
-                        l.shard,
-                        Ev::Deliver {
-                            node: l.idx,
-                            port,
-                            frame,
-                        },
-                    )
-                }
-                Ev::Timer { node, token } => {
-                    let l = loc[node as usize];
-                    (l.shard, Ev::Timer { node: l.idx, token })
-                }
-                Ev::Ctrl { node, from, data } => {
-                    let l = loc[node as usize];
-                    (
-                        l.shard,
-                        Ev::Ctrl {
-                            node: l.idx,
-                            from,
-                            data,
-                        },
-                    )
-                }
-                Ev::Emit { node, port, frame } => {
-                    let l = loc[node as usize];
-                    (
-                        l.shard,
-                        Ev::Emit {
-                            node: l.idx,
-                            port,
-                            frame,
-                        },
-                    )
-                }
-                Ev::TxDone { chan } => {
-                    let (s, c) = chan_remap[chan as usize].expect("event references a live chan");
-                    (s, Ev::TxDone { chan: c })
-                }
-                Ev::Fault(FaultEv::LinkDown { chan }) => {
-                    let (s, c) = chan_remap[chan as usize].expect("fault references a live chan");
-                    (s, Ev::Fault(FaultEv::LinkDown { chan: c }))
-                }
-                Ev::Fault(FaultEv::LinkUp { chan }) => {
-                    let (s, c) = chan_remap[chan as usize].expect("fault references a live chan");
-                    (s, Ev::Fault(FaultEv::LinkUp { chan: c }))
-                }
-                Ev::Fault(FaultEv::Reset { node }) => {
-                    let l = loc[node as usize];
-                    (l.shard, Ev::Fault(FaultEv::Reset { node: l.idx }))
-                }
-                Ev::Fault(f @ (FaultEv::CtrlDown { .. } | FaultEv::CtrlUp { .. })) => {
-                    // Partition events are replicated: every new shard
-                    // gets its own copy at the same instant.
-                    for sh in shards.iter_mut() {
-                        sh.push(sched.at, Ev::Fault(f));
-                    }
-                    continue;
-                }
-            };
-            shards[target as usize].push(sched.at, ev);
-        }
-
-        self.shards = shards;
-        self.loc = Arc::new(loc);
-    }
-
-    /// Start collecting trace lines from [`NodeCtx::trace`].
-    pub fn enable_tracing(&mut self) {
-        self.tracing = true;
-        for s in &mut self.shards {
-            if s.trace.is_none() {
-                s.trace = Some(Vec::new());
-            }
-        }
-    }
-
-    /// Drain collected trace lines, merged across shards in time order
-    /// (ties resolved by shard id).
-    pub fn take_trace(&mut self) -> Vec<String> {
-        let mut entries: Vec<(SimTime, u32, usize, String)> = Vec::new();
-        for s in &mut self.shards {
-            if let Some(buf) = s.trace.as_mut() {
-                for (i, (t, line)) in std::mem::take(buf).into_iter().enumerate() {
-                    entries.push((t, s.id, i, line));
-                }
-            }
-        }
-        entries.sort_by_key(|e| (e.0, e.1, e.2));
-        entries.into_iter().map(|(_, _, _, line)| line).collect()
+        self.ctrl_blocked[node.0] = blocked;
     }
 
     /// Egress statistics of the link attached to `(node, port)`, if
     /// connected.
     pub fn link_stats(&self, node: NodeId, port: PortId) -> Option<LinkStats> {
-        let l = self.loc.get(node.0)?;
-        let shard = &self.shards[l.shard as usize];
-        let chan = (*shard.ports[l.idx as usize].get(usize::from(port.0))?)?;
-        Some(shard.chans[chan as usize].dir.stats)
+        let chan = (*self.ports.get(node.0)?.get(usize::from(port.0))?)?;
+        Some(self.chans[chan as usize].dir.stats)
     }
 
     /// Resolve the two egress channels of the duplex link attached to
-    /// `(node, port)`: the endpoint's own direction and its peer's, each
-    /// with the shard that owns it.
-    fn link_chans(&self, node: NodeId, port: PortId) -> Option<((usize, u32), (usize, u32))> {
-        let l = self.loc.get(node.0)?;
-        let shard = &self.shards[l.shard as usize];
-        let chan = (*shard.ports[l.idx as usize].get(usize::from(port.0))?)?;
-        let c = &shard.chans[chan as usize];
-        let (peer, peer_port) = (c.peer, c.peer_port);
-        let pl = self.loc[peer.0];
-        let pshard = &self.shards[pl.shard as usize];
-        let pchan = (*pshard.ports[pl.idx as usize].get(usize::from(peer_port.0))?)?;
-        Some(((l.shard as usize, chan), (pl.shard as usize, pchan)))
+    /// `(node, port)`: the endpoint's own direction and its peer's.
+    fn link_chans(&self, node: NodeId, port: PortId) -> Option<(u32, u32)> {
+        let chan = (*self.ports.get(node.0)?.get(usize::from(port.0))?)?;
+        let c = &self.chans[chan as usize];
+        let pchan = (*self.ports[c.peer.0].get(usize::from(c.peer_port.0))?)?;
+        Some((chan, pchan))
     }
 
     /// Arm every fault in `plan` (see [`crate::fault`]). Entries are
     /// scheduled in time order (ties in insertion order) as ordinary
-    /// shard events, so the fault schedule is bit-identical for any
-    /// thread count. Fault times must not lie in the simulated past.
+    /// events. Fault times must not lie in the simulated past.
     ///
     /// # Panics
     /// Panics if a link fault names an unconnected port or a fault names
@@ -503,11 +369,11 @@ impl Network {
     /// # Panics
     /// Panics if `(node, port)` has no link.
     pub fn schedule_link_down(&mut self, at: SimTime, node: NodeId, port: PortId) {
-        let ((sa, ca), (sb, cb)) = self
+        let (ca, cb) = self
             .link_chans(node, port)
             .unwrap_or_else(|| panic!("no link at {node}:{port}"));
-        self.shards[sa].push(at, Ev::Fault(FaultEv::LinkDown { chan: ca }));
-        self.shards[sb].push(at, Ev::Fault(FaultEv::LinkDown { chan: cb }));
+        self.push(at, Ev::Fault(FaultEv::LinkDown { chan: ca }));
+        self.push(at, Ev::Fault(FaultEv::LinkDown { chan: cb }));
     }
 
     /// Schedule both directions of the link at `(node, port)` to come
@@ -516,38 +382,32 @@ impl Network {
     /// # Panics
     /// Panics if `(node, port)` has no link.
     pub fn schedule_link_up(&mut self, at: SimTime, node: NodeId, port: PortId) {
-        let ((sa, ca), (sb, cb)) = self
+        let (ca, cb) = self
             .link_chans(node, port)
             .unwrap_or_else(|| panic!("no link at {node}:{port}"));
-        self.shards[sa].push(at, Ev::Fault(FaultEv::LinkUp { chan: ca }));
-        self.shards[sb].push(at, Ev::Fault(FaultEv::LinkUp { chan: cb }));
+        self.push(at, Ev::Fault(FaultEv::LinkUp { chan: ca }));
+        self.push(at, Ev::Fault(FaultEv::LinkUp { chan: cb }));
     }
 
     /// Schedule a power cycle of `node` at `at`: its
     /// [`Node::on_reset`] hook fires at that instant.
     pub fn schedule_reset(&mut self, at: SimTime, node: NodeId) {
-        let l = self.loc[node.0];
-        self.shards[l.shard as usize].push(at, Ev::Fault(FaultEv::Reset { node: l.idx }));
+        self.push(
+            at,
+            Ev::Fault(FaultEv::Reset {
+                node: node.0 as u32,
+            }),
+        );
     }
 
-    /// Schedule a control-plane partition of `node` at `at`. The event
-    /// is replicated into **every** shard's queue at that instant so
-    /// each sender's replica of the blocked set flips in lockstep —
-    /// the same trick [`Network::schedule_link_down`] uses with one
-    /// event per link direction.
+    /// Schedule a control-plane partition of `node` at `at`.
     pub fn schedule_ctrl_down(&mut self, at: SimTime, node: NodeId) {
-        for s in &mut self.shards {
-            s.push(at, Ev::Fault(FaultEv::CtrlDown { node }));
-        }
+        self.push(at, Ev::Fault(FaultEv::CtrlDown { node }));
     }
 
-    /// Schedule the control-plane partition of `node` to heal at `at`
-    /// (replicated into every shard, like
-    /// [`Network::schedule_ctrl_down`]).
+    /// Schedule the control-plane partition of `node` to heal at `at`.
     pub fn schedule_ctrl_up(&mut self, at: SimTime, node: NodeId) {
-        for s in &mut self.shards {
-            s.push(at, Ev::Fault(FaultEv::CtrlUp { node }));
-        }
+        self.push(at, Ev::Fault(FaultEv::CtrlUp { node }));
     }
 
     /// Tear out the link at `(node, port)` right now, returning the peer
@@ -557,18 +417,17 @@ impl Network {
     /// fresh link (this is how host detach/re-attach is modelled).
     ///
     /// Returns `None` if the port has no link. Call between `run_*`
-    /// invocations only; as a facade operation it is deterministic by
-    /// construction.
+    /// invocations only.
     pub fn disconnect(&mut self, node: NodeId, port: PortId) -> Option<(NodeId, PortId)> {
-        let ((sa, ca), (sb, cb)) = self.link_chans(node, port)?;
+        let (ca, cb) = self.link_chans(node, port)?;
         let peer = {
-            let c = &mut self.shards[sa].chans[ca as usize];
+            let c = &mut self.chans[ca as usize];
             let p = (c.peer, c.peer_port);
             c.dir.take_down();
             c.dir.dead = true;
             p
         };
-        let c = &mut self.shards[sb].chans[cb as usize];
+        let c = &mut self.chans[cb as usize];
         c.dir.take_down();
         c.dir.dead = true;
         Some(peer)
@@ -579,9 +438,9 @@ impl Network {
     /// The flow-level engine polls this at window boundaries: a downed
     /// hop demotes every converged flow routed over it.
     pub fn link_up(&self, node: NodeId, port: PortId) -> Option<bool> {
-        let ((sa, ca), (sb, cb)) = self.link_chans(node, port)?;
-        let a = &self.shards[sa].chans[ca as usize].dir;
-        let b = &self.shards[sb].chans[cb as usize].dir;
+        let (ca, cb) = self.link_chans(node, port)?;
+        let a = &self.chans[ca as usize].dir;
+        let b = &self.chans[cb as usize].dir;
         Some(!a.down && !a.dead && !b.down && !b.dead)
     }
 
@@ -589,16 +448,12 @@ impl Network {
     /// newly transmitted frames blackholed at the egress, plus in-flight
     /// frames blackholed on arrival.
     pub fn blackholed_frames(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.blackholed_in_flight
-                    + s.chans
-                        .iter()
-                        .map(|c| c.dir.stats.blackholed_frames)
-                        .sum::<u64>()
-            })
-            .sum()
+        self.blackholed_in_flight
+            + self
+                .chans
+                .iter()
+                .map(|c| c.dir.stats.blackholed_frames)
+                .sum::<u64>()
     }
 
     /// Typed shared access to a node.
@@ -606,11 +461,7 @@ impl Network {
     /// # Panics
     /// Panics if the node is not of type `T`.
     pub fn node_ref<T: Node>(&self, id: NodeId) -> &T {
-        let l = self.loc[id.0];
-        self.shards[l.shard as usize].nodes[l.idx as usize]
-            .as_any()
-            .downcast_ref::<T>()
-            .expect("node type mismatch")
+        self.try_node_ref(id).expect("node type mismatch")
     }
 
     /// Typed exclusive access to a node.
@@ -618,8 +469,7 @@ impl Network {
     /// # Panics
     /// Panics if the node is not of type `T`.
     pub fn node_mut<T: Node>(&mut self, id: NodeId) -> &mut T {
-        let l = self.loc[id.0];
-        self.shards[l.shard as usize].nodes[l.idx as usize]
+        self.nodes[id.0]
             .as_any_mut()
             .downcast_mut::<T>()
             .expect("node type mismatch")
@@ -628,33 +478,26 @@ impl Network {
     /// Typed shared access to a node, or `None` if it is of another
     /// type (the probing sibling of [`Network::node_ref`]).
     pub fn try_node_ref<T: Node>(&self, id: NodeId) -> Option<&T> {
-        let l = self.loc[id.0];
-        self.shards[l.shard as usize].nodes[l.idx as usize]
-            .as_any()
-            .downcast_ref::<T>()
+        self.nodes[id.0].as_any().downcast_ref::<T>()
     }
 
     /// Untyped shared access to a node (flow-level engine plumbing).
     pub(crate) fn node_dyn(&self, id: NodeId) -> &dyn Node {
-        let l = self.loc[id.0];
-        self.shards[l.shard as usize].nodes[l.idx as usize].as_ref()
+        self.nodes[id.0].as_ref()
     }
 
     /// Untyped exclusive access to a node (flow-level engine plumbing).
     pub(crate) fn node_dyn_mut(&mut self, id: NodeId) -> &mut dyn Node {
-        let l = self.loc[id.0];
-        self.shards[l.shard as usize].nodes[l.idx as usize].as_mut()
+        self.nodes[id.0].as_mut()
     }
 
     /// Deliver a frame to a node as if it had arrived on `port` now
     /// (bypasses links; intended for tests).
     pub fn inject(&mut self, node: NodeId, port: PortId, frame: Bytes) {
-        let at = self.now;
-        let l = self.loc[node.0];
-        self.shards[l.shard as usize].push(
-            at,
+        self.push(
+            self.now,
             Ev::Deliver {
-                node: l.idx,
+                node: node.0 as u32,
                 port,
                 frame,
             },
@@ -665,99 +508,46 @@ impl Network {
     /// event. This is how experiment drivers poke devices "from the
     /// management plane" (e.g. ask a generator to start, or a manager to
     /// begin migration) at the current instant.
+    ///
+    /// # Panics
+    /// Panics if the node is not of type `T`.
     pub fn with_node_ctx<T: Node, R>(
         &mut self,
         id: NodeId,
         f: impl FnOnce(&mut T, &mut NodeCtx) -> R,
     ) -> R {
-        let env = self.env();
-        let l = self.loc[id.0];
-        let now = self.now;
-        let mut actions = Vec::new();
-        let r = {
-            let shard = &mut self.shards[l.shard as usize];
-            shard.now = now;
-            let node = shard.nodes[l.idx as usize]
+        self.dispatch(id.0 as u32, |n, ctx| {
+            let node = n
                 .as_any_mut()
                 .downcast_mut::<T>()
                 .expect("node type mismatch");
-            let mut ctx = NodeCtx {
-                now,
-                node: id,
-                actions: &mut actions,
-                rng: &mut shard.rng,
-                trace: shard.trace.as_mut(),
-            };
-            f(node, &mut ctx)
-        };
-        self.shards[l.shard as usize].apply(l.idx, actions, &env);
-        self.exchange_all(&env);
-        r
-    }
-
-    /// Collect every shard's outbox and merge it into the destination
-    /// queues in deterministic `(time, source shard, source seq)` order.
-    /// Only valid at a barrier (all shards at a common fence time). The
-    /// scratch buffer is recycled through the runtime's pool.
-    fn exchange_all(&mut self, env: &Env) -> bool {
-        let mut mail: Vec<Remote> = self.runtime.pool.get();
-        for s in &mut self.shards {
-            mail.append(&mut s.outbox);
-        }
-        let any = !mail.is_empty();
-        if any {
-            mail.sort_by_key(Remote::key);
-            for r in mail.drain(..) {
-                let l = env.loc[r.dest().0];
-                self.shards[l.shard as usize].insert_remote(r, env);
-            }
-        }
-        self.runtime.pool.put(mail);
-        any
+            f(node, ctx)
+        })
     }
 
     /// Run until the event queue is exhausted or `limit` is reached,
-    /// whichever comes first. The clock ends at `limit` if given.
+    /// whichever comes first. The clock ends at `limit` if given, and at
+    /// the last processed event when running until idle.
     pub fn run_until(&mut self, limit: SimTime) {
-        let env = self.env();
-        let now = self.now;
-        for s in &mut self.shards {
-            s.start_pending(now, &env);
-        }
-        self.exchange_all(&env);
-        if self.shards.len() == 1 {
-            self.shards[0].burn_all(limit, &env);
-        } else {
-            let lookahead = self.lookahead();
-            assert!(
-                lookahead > SimTime::ZERO,
-                "sharded run needs a positive lookahead: every cross-shard \
-                 link delay and the ctrl delay must be > 0"
-            );
-            if self.runtime.threads().min(self.shards.len()) <= 1 {
-                self.run_windows_inline(limit, lookahead, &env);
-            } else {
-                // The persistent worker pool: shards move into the
-                // already-running workers and come back at the end of
-                // the call — no threads are spawned here.
-                self.runtime
-                    .run_windows(&mut self.shards, limit, lookahead, &env);
-                self.drain_saturated(limit, &env);
+        let start = self.now;
+        for i in 0..self.nodes.len() {
+            if !self.started[i] {
+                self.started[i] = true;
+                self.dispatch(i as u32, |n, ctx| n.on_start(ctx));
             }
         }
-        // Advance and re-align the clocks. Like the classic loop, the
-        // clock ends at `limit` when one is given, and at the last
-        // processed event when running until idle.
-        let mut t = self.now;
-        for s in &self.shards {
-            t = t.max(s.now);
+        while let Some(top) = self.queue.peek() {
+            if top.at > limit {
+                break;
+            }
+            let sched = self.queue.pop().expect("peeked event exists");
+            self.now = sched.at;
+            self.events_processed += 1;
+            self.handle(sched.ev);
         }
+        self.now = self.now.max(start);
         if limit != SimTime::MAX {
-            t = t.max(limit);
-        }
-        self.now = t;
-        for s in &mut self.shards {
-            s.now = t;
+            self.now = self.now.max(limit);
         }
     }
 
@@ -773,92 +563,214 @@ impl Network {
         self.run_until(SimTime::MAX);
     }
 
-    /// The conservative synchronization lookahead: the minimum of the
-    /// control-plane delay and every cross-shard link's propagation
-    /// delay. Any cross-shard event generated at `t` arrives at
-    /// `t + lookahead` or later.
-    fn lookahead(&self) -> SimTime {
-        let mut la = self.ctrl_delay;
-        for s in &self.shards {
-            for c in &s.chans {
-                if c.peer_shard != s.id {
-                    la = la.min(c.dir.spec.delay);
+    fn push(&mut self, at: SimTime, ev: Ev) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(Sched { at, seq, ev });
+    }
+
+    fn handle(&mut self, ev: Ev) {
+        match ev {
+            Ev::Deliver { node, port, frame } => {
+                if self.ingress_down(node, port) {
+                    self.blackholed_in_flight += 1;
+                    return;
                 }
+                self.deliver_burst(node, port, frame);
             }
+            Ev::Timer { node, token } => {
+                self.dispatch(node, |n, ctx| n.on_timer(token, ctx));
+            }
+            Ev::Ctrl { node, from, data } => {
+                // A message already in flight when the receiver was
+                // partitioned is discarded on delivery (the send-time
+                // check lives in `apply`).
+                let to = NodeId(node as usize);
+                if self.ctrl_is_down(to) {
+                    self.ctrl_stat(from, to).dropped += 1;
+                    return;
+                }
+                self.dispatch(node, |n, ctx| n.on_ctrl(from, data, ctx));
+            }
+            Ev::Emit { node, port, frame } => {
+                self.emit(node, port, frame);
+            }
+            Ev::TxDone { chan } => {
+                self.chans[chan as usize].dir.tx_in_flight = false;
+                self.kick(chan);
+            }
+            Ev::Fault(f) => match f {
+                FaultEv::LinkDown { chan } => self.chans[chan as usize].dir.take_down(),
+                FaultEv::LinkUp { chan } => {
+                    self.chans[chan as usize].dir.bring_up();
+                    self.kick(chan);
+                }
+                FaultEv::Reset { node } => {
+                    self.dispatch(node, |n, ctx| n.on_reset(ctx));
+                }
+                FaultEv::CtrlDown { node } => self.set_ctrl_blocked(node, true),
+                FaultEv::CtrlUp { node } => self.set_ctrl_blocked(node, false),
+            },
         }
-        la
     }
 
-    /// Earliest pending event across all shards.
-    fn min_next_time(&self) -> SimTime {
-        self.shards
-            .iter()
-            .map(Shard::next_time)
-            .min()
-            .unwrap_or(SimTime::MAX)
-    }
-
-    /// The window loop on the calling thread: identical window/barrier
-    /// sequence to the parallel path, so results match any thread count.
-    /// Returns through [`Network::drain_saturated`] so events within a
-    /// lookahead of the end of time are still processed causally.
-    fn run_windows_inline(&mut self, limit: SimTime, lookahead: SimTime, env: &Env) {
+    /// Deliver a frame plus any immediately following same-instant
+    /// deliveries for the same node as one burst. Coalescing only merges
+    /// events that would have been processed back-to-back anyway (they
+    /// are adjacent in `(time, seq)` order), so per-port FIFO order,
+    /// action ordering and determinism are untouched; nodes that do not
+    /// override [`Node::on_frames`] see the exact per-frame callbacks
+    /// they always did.
+    fn deliver_burst(&mut self, node: u32, port: PortId, frame: Bytes) {
+        let mut frames = vec![(port, frame)];
         loop {
-            let next = self.min_next_time();
-            if next > limit || next == SimTime::MAX {
-                break;
+            match self.queue.peek() {
+                Some(top) if top.at == self.now => match &top.ev {
+                    Ev::Deliver { node: n, .. } if *n == node => {}
+                    _ => break,
+                },
+                _ => break,
             }
-            let horizon = next + lookahead;
-            if horizon == SimTime::MAX {
-                break;
+            let Some(Sched {
+                ev: Ev::Deliver { port, frame, .. },
+                ..
+            }) = self.queue.pop()
+            else {
+                unreachable!("peeked event was a Deliver");
+            };
+            self.events_processed += 1;
+            if self.ingress_down(node, port) {
+                self.blackholed_in_flight += 1;
+                continue;
             }
-            self.runtime.count_window();
-            for s in &mut self.shards {
-                s.burn(horizon, limit, env);
-            }
-            self.exchange_all(env);
+            frames.push((port, frame));
         }
-        self.drain_saturated(limit, env);
+        self.delivered_frames += frames.len() as u64;
+        self.delivered_bytes += frames.iter().map(|(_, f)| f.len() as u64).sum::<u64>();
+        if frames.len() == 1 {
+            let (port, frame) = frames.pop().expect("exactly one frame");
+            self.dispatch(node, |n, ctx| n.on_packet(port, frame, ctx));
+        } else {
+            self.dispatch(node, |n, ctx| n.on_frames(frames, ctx));
+        }
     }
 
-    /// Degenerate tail: event times so close to [`SimTime::MAX`] that a
-    /// window horizon saturates (a no-op in every other case). Steps one
-    /// *instant* at a time — `lookahead > 0` guarantees a cross-shard
-    /// event generated at `t` arrives strictly after `t`, so burning
-    /// exactly the earliest pending instant in every shard is causal.
-    /// Sequential and deterministic, not parallel.
-    fn drain_saturated(&mut self, limit: SimTime, env: &Env) {
-        loop {
-            let next = self.min_next_time();
-            if next > limit || next == SimTime::MAX {
-                break;
-            }
-            let horizon = SimTime::from_nanos(next.as_nanos() + 1); // next < MAX
-            for s in &mut self.shards {
-                s.burn(horizon, limit, env);
-            }
-            self.exchange_all(env);
-        }
-        // Anything still queued sits exactly at SimTime::MAX (with
-        // limit == MAX): cross-shard arrivals saturate to that same
-        // instant, so inter-shard causality is undefined there by
-        // construction. Drain shard-by-shard in fixed order, like the
-        // classic loop would in insertion order.
-        if limit == SimTime::MAX {
-            loop {
-                let mut progressed = false;
-                for i in 0..self.shards.len() {
-                    if self.shards[i].has_events() {
-                        self.shards[i].burn_all(limit, env);
-                        progressed = true;
+    /// True when the link into `(node, port)` is down on arrival: the
+    /// receiver's own egress channel on the same port is the paired half
+    /// of the same duplex link, which fault scheduling always downs at
+    /// the same instant as its twin.
+    fn ingress_down(&self, node: u32, port: PortId) -> bool {
+        self.chan_of(node, port)
+            .is_some_and(|c| self.chans[c as usize].dir.down)
+    }
+
+    /// Run one callback of `node` and apply its deferred side effects.
+    fn dispatch<R>(&mut self, node: u32, f: impl FnOnce(&mut dyn Node, &mut NodeCtx) -> R) -> R {
+        let mut actions = Vec::new();
+        let mut ctx = NodeCtx {
+            now: self.now,
+            node: NodeId(node as usize),
+            actions: &mut actions,
+            rng: &mut self.rng,
+        };
+        let r = f(self.nodes[node as usize].as_mut(), &mut ctx);
+        self.apply(node, actions);
+        r
+    }
+
+    /// Apply the deferred side effects of one callback of `node`.
+    fn apply(&mut self, node: u32, actions: Vec<Action>) {
+        for a in actions {
+            match a {
+                Action::Transmit { port, frame } => self.emit(node, port, frame),
+                Action::TransmitAfter { delay, port, frame } => {
+                    let at = self.now + delay;
+                    self.push(at, Ev::Emit { node, port, frame });
+                }
+                Action::Timer { at, token } => self.push(at, Ev::Timer { node, token }),
+                Action::Ctrl { to, data } => {
+                    let from = NodeId(node as usize);
+                    // Control partition: either endpoint down ⇒ the
+                    // message dies at the sender.
+                    if self.ctrl_is_down(from) || self.ctrl_is_down(to) {
+                        self.ctrl_stat(from, to).dropped += 1;
+                        continue;
                     }
-                    self.exchange_all(env);
-                }
-                if !progressed {
-                    break;
+                    let mut at = self.now + self.ctrl_delay;
+                    let mut copies = 1u32;
+                    let p = self.ctrl_profile;
+                    if !p.is_noop() {
+                        // Impairment decisions are drawn at the send
+                        // instant, where ordering is already fixed.
+                        at += p.extra_delay;
+                        self.ctrl_stat(from, to).sent += 1;
+                        if p.drop > 0.0 && self.rng.gen_bool(p.drop) {
+                            self.ctrl_stat(from, to).dropped += 1;
+                            continue;
+                        }
+                        if p.dup > 0.0 && self.rng.gen_bool(p.dup) {
+                            self.ctrl_stat(from, to).duplicated += 1;
+                            copies = 2;
+                        }
+                        if p.reorder > 0.0
+                            && p.reorder_bound > SimTime::ZERO
+                            && self.rng.gen_bool(p.reorder)
+                        {
+                            let jitter = self.rng.gen_range(1..=p.reorder_bound.as_nanos());
+                            at += SimTime::from_nanos(jitter);
+                            self.ctrl_stat(from, to).reordered += 1;
+                        }
+                    }
+                    for _ in 0..copies {
+                        self.push(
+                            at,
+                            Ev::Ctrl {
+                                node: to.0 as u32,
+                                from,
+                                data: data.clone(),
+                            },
+                        );
+                    }
                 }
             }
         }
+    }
+
+    /// Enqueue a frame onto the egress channel of `(node, port)`.
+    fn emit(&mut self, node: u32, port: PortId, frame: Bytes) {
+        let Some(chan) = self.chan_of(node, port) else {
+            self.unconnected_drops += 1;
+            return;
+        };
+        if self.chans[chan as usize].dir.enqueue(frame) {
+            self.kick(chan);
+        }
+    }
+
+    /// If the serializer of `chan` is idle and frames are queued, start
+    /// transmitting the head-of-line frame.
+    fn kick(&mut self, chan: u32) {
+        let now = self.now;
+        let c = &mut self.chans[chan as usize];
+        if c.dir.tx_in_flight || c.dir.down {
+            return;
+        }
+        let Some(frame) = c.dir.dequeue() else { return };
+        let ser = c.dir.spec.ser_time(frame.len());
+        let tx_done = now + ser;
+        let arrive = tx_done + c.dir.spec.delay;
+        c.dir.tx_in_flight = true;
+        c.dir.busy_until = tx_done;
+        let (peer, peer_port) = (c.peer, c.peer_port);
+        self.push(tx_done, Ev::TxDone { chan });
+        self.push(
+            arrive,
+            Ev::Deliver {
+                node: peer.0 as u32,
+                port: peer_port,
+                frame,
+            },
+        );
     }
 }
 
@@ -1099,56 +1011,9 @@ mod tests {
         assert_eq!(s.dropped_frames, 0);
     }
 
-    /// Two pinger↔echo pairs in separate shards plus a cross-shard pair:
-    /// sharded execution must reproduce the unsharded timings exactly,
-    /// for any thread count.
-    fn sharded_scenario(shards: bool, threads: usize) -> (Vec<SimTime>, Vec<SimTime>, u64) {
-        let mut net = Network::new(9);
-        let p0 = net.add_node(pinger(4, SimTime::from_micros(3)));
-        let e0 = net.add_node(Echo {
-            delay: SimTime::from_micros(1),
-            seen: 0,
-        });
-        let p1 = net.add_node(pinger(4, SimTime::from_micros(5)));
-        let e1 = net.add_node(Echo {
-            delay: SimTime::from_micros(2),
-            seen: 0,
-        });
-        net.connect(p0, PortId(0), e0, PortId(0), LinkSpec::gigabit());
-        // Cross-shard link: p1 in shard 2 talks to e1 in shard 1.
-        net.connect(p1, PortId(0), e1, PortId(0), LinkSpec::gigabit());
-        if shards {
-            let mut map = ShardMap::new(3);
-            map.assign(p0, 1);
-            map.assign(e0, 1);
-            map.assign(e1, 1);
-            map.assign(p1, 2);
-            net.set_shards(&map);
-            net.set_threads(threads);
-        }
-        net.run_until(SimTime::from_millis(5));
-        let a0 = net.node_ref::<Pinger>(p0).arrivals.clone();
-        let a1 = net.node_ref::<Pinger>(p1).arrivals.clone();
-        (a0, a1, net.events_processed())
-    }
-
-    #[test]
-    fn sharded_run_matches_unsharded_timings() {
-        let (a0, a1, ev) = sharded_scenario(false, 1);
-        for threads in [1, 2, 3, 8] {
-            let (b0, b1, evs) = sharded_scenario(true, threads);
-            assert_eq!(a0, b0, "threads={threads}");
-            assert_eq!(a1, b1, "threads={threads}");
-            assert_eq!(ev, evs, "threads={threads}");
-        }
-        assert_eq!(a0.len(), 4);
-        assert_eq!(a1.len(), 4);
-    }
-
-    /// The sharded scenario again, but driven through many short
-    /// `run_for` slices — the staggered-driver shape that used to pay a
-    /// thread spawn-join per slice.
-    fn sliced_scenario(threads: Option<usize>, slices: u32) -> (Vec<SimTime>, Vec<SimTime>, u64) {
+    /// Two pinger↔echo pairs driven through `slices` short `run_for`
+    /// calls before one final `run_until`.
+    fn sliced_scenario(slices: u32) -> (Vec<SimTime>, Vec<SimTime>, u64) {
         let mut net = Network::new(9);
         let p0 = net.add_node(pinger(4, SimTime::from_micros(3)));
         let e0 = net.add_node(Echo {
@@ -1162,15 +1027,6 @@ mod tests {
         });
         net.connect(p0, PortId(0), e0, PortId(0), LinkSpec::gigabit());
         net.connect(p1, PortId(0), e1, PortId(0), LinkSpec::gigabit());
-        if let Some(t) = threads {
-            let mut map = ShardMap::new(3);
-            map.assign(p0, 1);
-            map.assign(e0, 1);
-            map.assign(e1, 1);
-            map.assign(p1, 2);
-            net.set_shards(&map);
-            net.set_threads(t);
-        }
         for _ in 0..slices {
             net.run_for(SimTime::from_micros(5));
         }
@@ -1180,189 +1036,22 @@ mod tests {
         (a0, a1, net.events_processed())
     }
 
-    /// Satellite contract: repeated `run_for` calls on a persistent pool
-    /// produce byte-identical arrival times and event counts to a fresh
-    /// single-queue engine — and to any other slicing of the same span.
+    /// Slicing a run into many `run_for` calls is result-neutral: arrival
+    /// times and event counts match one long run, for any slicing (the
+    /// flow-level engine relies on this).
     #[test]
-    fn persistent_pool_multi_run_matches_single_queue() {
-        let base = sliced_scenario(None, 40);
+    fn sliced_runs_match_one_run() {
+        let base = sliced_scenario(0);
         assert_eq!(base.0.len(), 4, "workload converged");
-        for threads in [1, 2, 3] {
-            assert_eq!(
-                sliced_scenario(Some(threads), 40),
-                base,
-                "threads={threads}"
-            );
-        }
-        // A different slicing of the same simulated span changes nothing.
-        assert_eq!(sliced_scenario(Some(2), 7), base);
+        assert_eq!(base.1.len(), 4, "workload converged");
+        assert_eq!(sliced_scenario(40), base);
+        assert_eq!(sliced_scenario(7), base);
     }
 
-    /// Satellite contract: `set_threads` is the only place worker
-    /// threads are created; `run_until`/`run_for` reuse the parked pool.
+    /// Events scheduled near (or exactly at) the end of time still fire
+    /// when running until idle.
     #[test]
-    fn workers_spawn_once_per_set_threads_not_per_run() {
-        let mut net = Network::new(9);
-        let p = net.add_node(pinger(500, SimTime::from_micros(4)));
-        let e = net.add_node(Echo {
-            delay: SimTime::from_micros(1),
-            seen: 0,
-        });
-        net.connect(p, PortId(0), e, PortId(0), LinkSpec::gigabit());
-        let mut map = ShardMap::new(2);
-        map.assign(e, 1);
-        net.set_shards(&map);
-        assert_eq!(net.runtime_stats().workers_spawned, 0);
-        net.set_threads(2);
-        assert_eq!(net.runtime_stats().workers_spawned, 2);
-        for _ in 0..50 {
-            net.run_for(SimTime::from_micros(20));
-        }
-        let stats = net.runtime_stats();
-        assert_eq!(
-            stats.workers_spawned, 2,
-            "50 run_for calls must not spawn any threads"
-        );
-        assert!(stats.windows > 50, "the runs actually executed windows");
-        // Reconfiguring to the same count is a no-op; a new count joins
-        // the old pool and spawns a fresh one.
-        net.set_threads(2);
-        assert_eq!(net.runtime_stats().workers_spawned, 2);
-        net.set_threads(3);
-        assert_eq!(net.runtime_stats().workers_spawned, 5);
-        net.run_for(SimTime::from_micros(20));
-        assert_eq!(net.runtime_stats().workers_spawned, 5);
-    }
-
-    /// Satellite contract: per-window mailbox buffers come from the
-    /// free-list — after a warm-up, steady-state windows allocate
-    /// nothing.
-    #[test]
-    fn mailbox_buffers_recycle_through_the_pool() {
-        let mut net = Network::new(9);
-        // Cross-shard pinger ↔ echo so every window carries remote mail.
-        let p = net.add_node(pinger(2000, SimTime::from_micros(4)));
-        let e = net.add_node(Echo {
-            delay: SimTime::from_micros(1),
-            seen: 0,
-        });
-        net.connect(p, PortId(0), e, PortId(0), LinkSpec::gigabit());
-        let mut map = ShardMap::new(2);
-        map.assign(e, 1);
-        net.set_shards(&map);
-        net.set_threads(2);
-        for _ in 0..10 {
-            net.run_for(SimTime::from_micros(40));
-        }
-        let before = net.runtime_stats();
-        for _ in 0..40 {
-            net.run_for(SimTime::from_micros(40));
-        }
-        let after = net.runtime_stats();
-        assert!(after.windows > before.windows + 40, "windows kept running");
-        assert_eq!(
-            after.mailbox_allocs, before.mailbox_allocs,
-            "steady-state windows must draw every mailbox buffer from the pool"
-        );
-    }
-
-    #[test]
-    fn auto_thread_detection_resolves_to_a_positive_count() {
-        let mut net = Network::new(1);
-        net.set_threads(0);
-        assert!(net.threads() >= 1, "0 means auto-detect, never zero");
-    }
-
-    #[test]
-    fn sharded_ctrl_crosses_shards() {
-        struct CtrlEcho {
-            got: Vec<(NodeId, SimTime)>,
-        }
-        impl Node for CtrlEcho {
-            fn on_packet(&mut self, _p: PortId, _f: Bytes, _c: &mut NodeCtx) {}
-            fn on_ctrl(&mut self, from: NodeId, _d: Bytes, ctx: &mut NodeCtx) {
-                self.got.push((from, ctx.now()));
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        struct CtrlSender {
-            to: NodeId,
-        }
-        impl Node for CtrlSender {
-            fn on_start(&mut self, ctx: &mut NodeCtx) {
-                ctx.ctrl_send(self.to, Bytes::from_static(b"hi"));
-            }
-            fn on_packet(&mut self, _p: PortId, _f: Bytes, _c: &mut NodeCtx) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        let mut net = Network::new(1);
-        let r = net.add_node(CtrlEcho { got: Vec::new() });
-        let s1 = net.add_node(CtrlSender { to: r });
-        let s2 = net.add_node(CtrlSender { to: r });
-        let mut map = ShardMap::new(3);
-        map.assign(s1, 1);
-        map.assign(s2, 2);
-        net.set_shards(&map);
-        net.set_threads(2);
-        net.run_until(SimTime::from_millis(1));
-        let got = &net.node_ref::<CtrlEcho>(r).got;
-        // Both messages arrive after the default 50 µs ctrl delay, merged
-        // in deterministic (time, source shard) order.
-        assert_eq!(
-            got,
-            &vec![
-                (s1, SimTime::from_micros(50)),
-                (s2, SimTime::from_micros(50))
-            ]
-        );
-    }
-
-    #[test]
-    fn set_shards_preserves_pending_events() {
-        let mut net = Network::new(5);
-        let p = net.add_node(pinger(2, SimTime::from_micros(10)));
-        let e = net.add_node(Echo {
-            delay: SimTime::from_micros(1),
-            seen: 0,
-        });
-        net.connect(p, PortId(0), e, PortId(0), LinkSpec::gigabit());
-        // Run mid-way so frames and timers are in flight, then shard.
-        net.run_until(SimTime::from_micros(11));
-        let mut map = ShardMap::new(2);
-        map.assign(e, 1);
-        net.set_shards(&map);
-        net.run_until_idle();
-        assert_eq!(net.node_ref::<Echo>(e).seen, 2);
-        assert_eq!(net.node_ref::<Pinger>(p).arrivals.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "only has 1 nodes")]
-    fn stale_shard_map_panics() {
-        let mut net = Network::new(1);
-        let _a = net.add_node(pinger(0, SimTime::ZERO));
-        let mut map = ShardMap::new(2);
-        // Assign a node id the network does not have (map built against
-        // a larger network).
-        map.assign(NodeId(7), 1);
-        net.set_shards(&map);
-    }
-
-    /// Events scheduled within a lookahead of (or exactly at) the end of
-    /// time exercise the saturated-horizon drain: they must still fire,
-    /// in causal order, under the sharded engine.
-    #[test]
-    fn events_at_the_end_of_time_still_fire_when_sharded() {
+    fn events_at_the_end_of_time_still_fire() {
         struct FarTimer {
             fire_at: SimTime,
             fired: Vec<SimTime>,
@@ -1393,24 +1082,9 @@ mod tests {
             fire_at: SimTime::MAX,
             fired: Vec::new(),
         });
-        let mut map = ShardMap::new(2);
-        map.assign(b, 1);
-        net.set_shards(&map);
-        net.set_threads(2);
         net.run_until_idle();
         assert_eq!(net.node_ref::<FarTimer>(a).fired, vec![near]);
         assert_eq!(net.node_ref::<FarTimer>(b).fired, vec![SimTime::MAX]);
-    }
-
-    #[test]
-    #[should_panic(expected = "already sharded")]
-    fn resharding_panics() {
-        let mut net = Network::new(1);
-        let a = net.add_node(pinger(0, SimTime::ZERO));
-        let mut map = ShardMap::new(2);
-        map.assign(a, 1);
-        net.set_shards(&map);
-        net.set_shards(&map);
     }
 
     #[test]
@@ -1527,9 +1201,8 @@ mod tests {
         assert_eq!(n.at, vec![SimTime::from_millis(1), SimTime::from_millis(3)]);
     }
 
-    /// The sharded pinger/echo scenario with a cross-shard link flap and
-    /// a node reset: results must be bit-identical for any thread count.
-    fn faulted_scenario(shards: bool, threads: usize) -> (Vec<SimTime>, Vec<SimTime>, u64, u64) {
+    /// Two pinger/echo pairs with a link flap on each and a node reset.
+    fn faulted_scenario() -> (Vec<SimTime>, Vec<SimTime>, u64, u64) {
         let mut net = Network::new(9);
         let p0 = net.add_node(pinger(6, SimTime::from_micros(3)));
         let e0 = net.add_node(Echo {
@@ -1543,21 +1216,12 @@ mod tests {
         });
         net.connect(p0, PortId(0), e0, PortId(0), LinkSpec::gigabit());
         net.connect(p1, PortId(0), e1, PortId(0), LinkSpec::gigabit());
-        if shards {
-            let mut map = ShardMap::new(3);
-            map.assign(p0, 1);
-            map.assign(e0, 1);
-            map.assign(e1, 1);
-            map.assign(p1, 2);
-            net.set_shards(&map);
-            net.set_threads(threads);
-        }
         let plan = crate::FaultPlan::new()
             .link_flap(
                 SimTime::from_micros(8),
                 SimTime::from_micros(9),
                 p1,
-                PortId(0), // the cross-shard link
+                PortId(0),
             )
             .link_flap(
                 SimTime::from_micros(4),
@@ -1574,12 +1238,10 @@ mod tests {
     }
 
     #[test]
-    fn fault_schedule_is_bit_identical_for_any_thread_count() {
-        let base = faulted_scenario(false, 1);
+    fn fault_schedule_is_deterministic() {
+        let base = faulted_scenario();
         assert!(base.3 > 0, "the schedule actually blackholed something");
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(faulted_scenario(true, threads), base, "threads={threads}");
-        }
+        assert_eq!(faulted_scenario(), base);
     }
 
     /// A node that sends one ctrl message to `to` every `interval` and
@@ -1726,18 +1388,12 @@ mod tests {
         );
     }
 
-    /// Cross-shard ctrl chatter under a lossy profile plus a scheduled
-    /// partition: bit-identical for any thread count.
-    fn lossy_ctrl_scenario(threads: usize) -> (Vec<(NodeId, SimTime)>, u64, u64) {
+    /// Ctrl chatter under a lossy profile plus a scheduled partition.
+    fn lossy_ctrl_scenario() -> (Vec<(NodeId, SimTime)>, u64, u64) {
         let mut net = Network::new(77);
         let r = net.add_node(chatter(NodeId(0), SimTime::from_micros(1), 0));
-        let s1 = net.add_node(chatter(r, SimTime::from_micros(7), 200));
+        net.add_node(chatter(r, SimTime::from_micros(7), 200));
         let s2 = net.add_node(chatter(r, SimTime::from_micros(11), 200));
-        let mut map = ShardMap::new(3);
-        map.assign(s1, 1);
-        map.assign(s2, 2);
-        net.set_shards(&map);
-        net.set_threads(threads);
         net.set_ctrl_profile(
             CtrlProfile::lossy(0.15)
                 .with_dup(0.05)
@@ -1756,21 +1412,9 @@ mod tests {
     }
 
     #[test]
-    fn lossy_ctrl_is_bit_identical_for_any_thread_count() {
-        let base = lossy_ctrl_scenario(1);
+    fn lossy_ctrl_is_deterministic() {
+        let base = lossy_ctrl_scenario();
         assert!(base.1 > 0, "the profile actually dropped something");
-        for threads in [2, 3, 8] {
-            assert_eq!(lossy_ctrl_scenario(threads), base, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn shard_map_defaults_to_shard_zero() {
-        let mut map = ShardMap::new(4);
-        map.assign(NodeId(3), 2);
-        assert_eq!(map.shard_of(NodeId(0)), 0);
-        assert_eq!(map.shard_of(NodeId(3)), 2);
-        assert_eq!(map.shard_of(NodeId(99)), 0);
-        assert_eq!(map.n_shards(), 4);
+        assert_eq!(lossy_ctrl_scenario(), base);
     }
 }

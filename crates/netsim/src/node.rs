@@ -52,7 +52,6 @@ pub struct NodeCtx<'a> {
     pub(crate) node: NodeId,
     pub(crate) actions: &'a mut Vec<Action>,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) trace: Option<&'a mut Vec<(SimTime, String)>>,
 }
 
 impl<'a> NodeCtx<'a> {
@@ -93,33 +92,16 @@ impl<'a> NodeCtx<'a> {
         self.actions.push(Action::Ctrl { to, data });
     }
 
-    /// The deterministic RNG of the node's shard. An unsharded network
-    /// has a single stream; a sharded one keeps one stream per shard so
-    /// device randomness never depends on global event interleaving (or
-    /// the thread count).
+    /// The network's deterministic RNG stream, seeded by
+    /// [`crate::Network::new`] and shared by every node in event order.
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
-    }
-
-    /// Record a trace line (no-op unless tracing was enabled on the
-    /// network).
-    pub fn trace(&mut self, msg: impl AsRef<str>) {
-        let now = self.now;
-        let node = self.node.0;
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.push((now, format!("[{now}] n{node}: {}", msg.as_ref())));
-        }
     }
 }
 
 /// A simulated device: anything that owns ports and reacts to packets,
 /// timers and control messages.
-///
-/// Nodes must be [`Send`]: a sharded network (see
-/// [`crate::Network::set_shards`]) moves each shard's devices onto a
-/// worker thread for the duration of a `run_*` call. A device is only
-/// ever touched by one thread at a time, so no `Sync` bound is needed.
-pub trait Node: Any + Send {
+pub trait Node: Any {
     /// A frame arrived on `port`.
     fn on_packet(&mut self, port: PortId, frame: Bytes, ctx: &mut NodeCtx);
 

@@ -1,13 +1,12 @@
 //! Flow-level hybrid engine tests: packet ≡ flow equivalence on random
-//! small fabrics, demotion-on-fault lifecycle, and bit-identical
-//! thread-count determinism for hybrid runs.
+//! small fabrics, demotion-on-fault lifecycle, and same-seed
+//! determinism for hybrid runs.
 //!
 //! The contract under test: promoting converged bundles out of the
 //! packet engine and advancing them analytically must not change any
 //! observable a converged run produces — delivered frame/byte counts,
 //! per-destination-port breakdowns, latency sample counts — and the
-//! promotion/demotion machinery itself must be deterministic for every
-//! thread count.
+//! promotion/demotion machinery itself must be deterministic.
 
 use harmless::fabric::{Fabric, FabricSpec, Interconnect};
 use harmless::instance::HarmlessSpec;
@@ -106,12 +105,7 @@ fn build_rig(seed: u64, n_pods: u16, l3: bool, flows_per_pair: u16, base_pps: f6
 
 /// Warm up, register every pair as a bundle, drive to `until`, and
 /// render the observables the equivalence contract covers.
-fn run_and_observe(mut rig: Rig, hybrid: bool, threads: Option<usize>) -> (String, FlowSim, u64) {
-    if let Some(t) = threads {
-        let map = rig.fx.shard_map();
-        rig.net.set_shards(&map);
-        rig.net.set_threads(t);
-    }
+fn run_and_observe(mut rig: Rig, hybrid: bool) -> (String, FlowSim, u64) {
     rig.net.run_until(SimTime::from_millis(200));
     let window = SimTime::from_millis(5);
     let mut fs = if hybrid {
@@ -162,9 +156,9 @@ proptest! {
         let flows = 4;
         let pps = 2_000.0;
         let (packet_obs, packet_fs, _) =
-            run_and_observe(build_rig(seed, pods, l3, flows, pps), false, None);
+            run_and_observe(build_rig(seed, pods, l3, flows, pps), false);
         let (hybrid_obs, hybrid_fs, _) =
-            run_and_observe(build_rig(seed, pods, l3, flows, pps), true, None);
+            run_and_observe(build_rig(seed, pods, l3, flows, pps), true);
         prop_assert_eq!(&hybrid_obs, &packet_obs, "observables diverge");
         prop_assert_eq!(packet_fs.stats().promotions, 0);
         prop_assert!(
@@ -226,19 +220,15 @@ fn fault_demotes_and_repromotes() {
     );
 }
 
-/// Hybrid runs are bit-identical for every thread count: the driver
-/// slices at fixed window multiples and mutates nodes only between
-/// slices, so the sharded engine's determinism contract extends to
-/// promotion/demotion decisions and modeled credits.
+/// Hybrid runs are deterministic: the driver slices at fixed window
+/// multiples and mutates nodes only between slices, so two runs with
+/// the same seed agree on promotion/demotion decisions and modeled
+/// credits.
 #[test]
-fn hybrid_thread_count_determinism() {
-    let observe = |threads: Option<usize>| -> (String, u64, u64) {
-        let (obs, fs, _) = run_and_observe(build_rig(13, 3, false, 4, 2_000.0), true, threads);
+fn hybrid_same_seed_determinism() {
+    let observe = || -> (String, u64, u64) {
+        let (obs, fs, _) = run_and_observe(build_rig(13, 3, false, 4, 2_000.0), true);
         (obs, fs.stats().promotions, fs.stats().frames_modeled)
     };
-    let single = observe(None);
-    for t in [1, 2, 4] {
-        let sharded = observe(Some(t));
-        assert_eq!(sharded, single, "threads={t} diverged");
-    }
+    assert_eq!(observe(), observe());
 }
