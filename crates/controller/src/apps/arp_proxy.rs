@@ -33,10 +33,13 @@
 //!   uplink route and reflect back out of its ingress port; the guard
 //!   drops it instead;
 //! * **retracts stale routes**: when a host is re-registered (a pod
-//!   move) or removed ([`ArpProxy::remove_host`]), the rules installed
-//!   for the superseded entry are deleted from every datapath they
-//!   reached — proactive routes that outlive the host they point at
-//!   silently blackhole its traffic at the old location.
+//!   move) or removed from the host table, the rules installed for the
+//!   superseded entry are deleted from every datapath they reached —
+//!   proactive routes that outlive the host they point at silently
+//!   blackhole its traffic at the old location.
+//!
+//! Installs and retractions go through the shared [`crate::desired`]
+//! engine: each [`HostRoute`] is one rule group keyed by IP.
 //!
 //! Chain this app *before* a [`crate::apps::LearningSwitch`]: the proxy
 //! consumes what it can answer, the learning switch handles any MAC the
@@ -48,13 +51,13 @@
 //! up.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use netpkt::{builder, MacAddr};
 use openflow::message::FlowMod;
 use openflow::{Action, Match};
 
+use crate::desired::{RuleGroup, Shared, Syncer};
 use crate::node::{App, PacketInEvent, PacketInVerdict, SwitchHandle};
 
 /// Priority of the proactive `eth_dst → output` host routes — above the
@@ -65,7 +68,7 @@ pub const GUARD_PRIORITY: u16 = 30;
 
 /// One host's fabric-wide identity and location: how to answer ARP for
 /// it, and which port of each datapath leads to it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostRoute {
     /// The host's IPv4 address (the ARP table key).
     pub ip: Ipv4Addr,
@@ -80,87 +83,79 @@ pub struct HostRoute {
     pub guards: Vec<(u64, u32)>,
 }
 
+/// A host is one desired-state group, keyed by IP: its guards and its
+/// route on every datapath it names.
+impl RuleGroup for HostRoute {
+    type Key = Ipv4Addr;
+
+    /// The host table is fabric-wide: every datapath acknowledges each
+    /// registration with a barrier, whether or not it got a rule.
+    const FENCE_LOG_GROWTH: bool = true;
+
+    fn key(&self) -> Ipv4Addr {
+        self.ip
+    }
+
+    fn touches(&self, dpid: u64) -> bool {
+        self.ports
+            .iter()
+            .chain(self.guards.iter())
+            .any(|&(d, _)| d == dpid)
+    }
+
+    fn install(&self, sw: &mut SwitchHandle) {
+        let dpid = sw.dpid;
+        for &(_, in_port) in self.guards.iter().filter(|&&(d, _)| d == dpid) {
+            sw.flow_mod(
+                FlowMod::add(0)
+                    .priority(GUARD_PRIORITY)
+                    .match_(Match::new().in_port(in_port).eth_dst(self.mac))
+                    .apply(vec![]), // match with no actions = drop
+            );
+        }
+        for &(_, out) in self.ports.iter().filter(|&&(d, _)| d == dpid) {
+            sw.flow_mod(
+                FlowMod::add(0)
+                    .priority(ROUTE_PRIORITY)
+                    .match_(Match::new().eth_dst(self.mac))
+                    .apply(vec![Action::output(out)]),
+            );
+        }
+    }
+
+    /// One non-strict `eth_dst` delete sweeps the route, the guards and
+    /// any stale reactive rules for the MAC, while matching nothing the
+    /// table-miss entry covers.
+    fn retract(&self, sw: &mut SwitchHandle) {
+        sw.flow_mod(FlowMod::delete(0).match_(Match::new().eth_dst(self.mac)));
+    }
+}
+
 /// The ARP-proxy / proactive-routing app. See the module docs.
+#[derive(Default)]
 pub struct ArpProxy {
-    hosts: Vec<HostRoute>,
-    by_ip: HashMap<Ipv4Addr, usize>,
-    /// dpid → number of `hosts` entries already installed there.
-    pushed: HashMap<u64, usize>,
-    /// Superseded/removed entries whose rules must be deleted from the
-    /// datapaths they were pushed to.
-    retired: Vec<HostRoute>,
-    /// dpid → number of `retired` entries already retracted there.
-    retracted: HashMap<u64, usize>,
+    hosts: Syncer<HostRoute>,
     answered: u64,
-    unknown_targets: u64,
-    routes_installed: u64,
-    routes_retracted: u64,
 }
 
 impl ArpProxy {
-    /// An empty proxy; populate it with [`ArpProxy::add_host`] (the
-    /// fabric layer does this when `FabricSpec::arp_proxy` is set).
+    /// An empty proxy. Upsert into [`Self::hosts`] to register or move a
+    /// host, remove its IP to drop it (the fabric does this when
+    /// `FabricSpec::arp_proxy` is set). Routes reach connected datapaths
+    /// on the next controller tick (1 s) or handshake.
     pub fn new() -> ArpProxy {
-        ArpProxy {
-            hosts: Vec::new(),
-            by_ip: HashMap::new(),
-            pushed: HashMap::new(),
-            retired: Vec::new(),
-            retracted: HashMap::new(),
-            answered: 0,
-            unknown_targets: 0,
-            routes_installed: 0,
-            routes_retracted: 0,
-        }
+        Self::default()
     }
 
-    /// Register a host. Routes reach already-connected datapaths on the
-    /// next controller tick (1 s) or switch handshake, whichever comes
-    /// first — register hosts before the simulation starts to have the
-    /// routes in place from the first handshake.
-    ///
-    /// Re-registering an IP replaces its table entry. The replacement is
-    /// appended past every datapath's push watermark, so its routes are
-    /// (re)installed everywhere, and the superseded entry's rules are
-    /// *retracted* (a delete flow-mod per datapath they reached) in the
-    /// same sync — deletes go out before installs, so a host that moved
-    /// pods ends up with exactly its new route, never a stale one
-    /// blackholing traffic at the old location.
-    pub fn add_host(&mut self, route: HostRoute) {
-        self.retire(route.ip);
-        self.by_ip.insert(route.ip, self.hosts.len());
-        self.hosts.push(route);
+    /// The host table this proxy answers from and installs routes for.
+    pub fn hosts(&self) -> &Shared<HostRoute> {
+        self.hosts.store()
     }
 
-    /// Drop a host from the table: its ARP entries stop being answered
-    /// and every rule installed for it is retracted on the next sync
-    /// (tick, handshake, or an explicit [`ArpProxy::sync_switch`]).
-    /// Returns true if the IP was known.
-    pub fn remove_host(&mut self, ip: Ipv4Addr) -> bool {
-        let known = self.retire(ip);
-        self.by_ip.remove(&ip);
-        known
-    }
-
-    /// Tombstone `ip`'s current entry (indices and per-dpid push
-    /// watermarks stay valid) and queue its installed rules for
-    /// retraction.
-    fn retire(&mut self, ip: Ipv4Addr) -> bool {
-        let Some(&i) = self.by_ip.get(&ip) else {
-            return false;
-        };
-        let old = self.hosts[i].clone();
-        self.hosts[i].ports.clear();
-        self.hosts[i].guards.clear();
-        if !old.ports.is_empty() || !old.guards.is_empty() {
-            self.retired.push(old);
-        }
-        true
-    }
-
-    /// Number of registered hosts (live IPs, not superseded entries).
-    pub fn hosts_known(&self) -> usize {
-        self.by_ip.len()
+    /// Serve `hosts` instead of this proxy's own table — a standby
+    /// controller adopting the primary's.
+    pub fn share_hosts(&mut self, hosts: Shared<HostRoute>) {
+        self.hosts.share(hosts);
     }
 
     /// ARP requests answered (and consumed) at the pod edge.
@@ -168,109 +163,9 @@ impl ArpProxy {
         self.answered
     }
 
-    /// ARP requests for targets outside the host table (left to the
-    /// rest of the app chain).
-    pub fn unknown_targets(&self) -> u64 {
-        self.unknown_targets
-    }
-
-    /// Proactive route + guard rules installed so far.
-    pub fn routes_installed(&self) -> u64 {
-        self.routes_installed
-    }
-
-    /// Delete flow-mods issued for retired routes so far.
-    pub fn routes_retracted(&self) -> u64 {
-        self.routes_retracted
-    }
-
     /// The registered MAC for an IP, if any.
     pub fn lookup(&self, ip: Ipv4Addr) -> Option<MacAddr> {
-        self.by_ip.get(&ip).map(|&i| self.hosts[i].mac)
-    }
-
-    /// Bring `sw`'s datapath up to date with the host table *now*:
-    /// retract rules of retired entries, then install pending routes.
-    /// The same sync runs on every handshake and controller tick; call
-    /// this via [`crate::ControllerNode::for_each_switch`] when a host
-    /// move must converge without waiting for the next tick.
-    pub fn sync_switch(&mut self, sw: &mut SwitchHandle) {
-        let retracted = self.retract_routes(sw);
-        let pushed = self.push_routes(sw);
-        if retracted || pushed {
-            sw.barrier();
-        }
-    }
-
-    /// Issue delete flow-mods on `sw` for every retired entry not yet
-    /// retracted there. One non-strict `eth_dst` delete per entry sweeps
-    /// its route, its guards and any stale reactive rules for that MAC,
-    /// while matching nothing the table-miss entry covers. Must run
-    /// *before* [`ArpProxy::push_routes`] in a sync so a same-MAC move
-    /// deletes the old rule, then installs the new one.
-    fn retract_routes(&mut self, sw: &mut SwitchHandle) -> bool {
-        let dpid = sw.dpid;
-        let from = *self.retracted.get(&dpid).unwrap_or(&0);
-        let mut any = false;
-        for h in &self.retired[from.min(self.retired.len())..] {
-            let touches = h
-                .ports
-                .iter()
-                .chain(h.guards.iter())
-                .any(|&(d, _)| d == dpid);
-            if !touches {
-                continue;
-            }
-            any = true;
-            self.routes_retracted += 1;
-            sw.flow_mod(FlowMod::delete(0).match_(Match::new().eth_dst(h.mac)));
-        }
-        self.retracted.insert(dpid, self.retired.len());
-        any
-    }
-
-    /// Install rules for every host not yet pushed to `sw`'s datapath.
-    /// Returns true if anything was sent.
-    fn push_routes(&mut self, sw: &mut SwitchHandle) -> bool {
-        let dpid = sw.dpid;
-        let from = *self.pushed.get(&dpid).unwrap_or(&0);
-        if from >= self.hosts.len() {
-            return false;
-        }
-        for h in &self.hosts[from..] {
-            for &(d, in_port) in &h.guards {
-                if d != dpid {
-                    continue;
-                }
-                self.routes_installed += 1;
-                sw.flow_mod(
-                    FlowMod::add(0)
-                        .priority(GUARD_PRIORITY)
-                        .match_(Match::new().in_port(in_port).eth_dst(h.mac))
-                        .apply(vec![]), // match with no actions = drop
-                );
-            }
-            for &(d, out) in &h.ports {
-                if d != dpid {
-                    continue;
-                }
-                self.routes_installed += 1;
-                sw.flow_mod(
-                    FlowMod::add(0)
-                        .priority(ROUTE_PRIORITY)
-                        .match_(Match::new().eth_dst(h.mac))
-                        .apply(vec![Action::output(out)]),
-                );
-            }
-        }
-        self.pushed.insert(dpid, self.hosts.len());
-        true
-    }
-}
-
-impl Default for ArpProxy {
-    fn default() -> Self {
-        Self::new()
+        self.hosts.store().borrow().get(ip).map(|h| h.mac)
     }
 }
 
@@ -280,13 +175,6 @@ impl App for ArpProxy {
     }
 
     fn on_switch_ready(&mut self, sw: &mut SwitchHandle) {
-        // A handshake means empty tables — a first connect, or a device
-        // that rebooted and lost everything. Rewind both watermarks:
-        // every live route gets (re)installed, and deletes queued for
-        // rules that no longer exist are skipped (deleting into a fresh
-        // table would be a harmless no-op, but it is dead traffic).
-        self.pushed.insert(sw.dpid, 0);
-        self.retracted.insert(sw.dpid, self.retired.len());
         // Table-miss punt, so ARP broadcasts (which no dst-MAC route
         // matches) reach the proxy. Idempotent with the learning
         // switch's identical entry.
@@ -295,13 +183,13 @@ impl App for ArpProxy {
                 .priority(0)
                 .apply(vec![Action::to_controller()]),
         );
-        self.sync_switch(sw);
+        self.hosts.handshake(sw);
     }
 
     fn on_tick(&mut self, sw: &mut SwitchHandle) {
         // Hosts registered (or retired) after a datapath's handshake
         // catch up here.
-        self.sync_switch(sw);
+        self.hosts.sync(sw);
     }
 
     fn on_packet_in(&mut self, sw: &mut SwitchHandle, ev: &PacketInEvent) -> PacketInVerdict {
@@ -309,7 +197,6 @@ impl App for ArpProxy {
             return PacketInVerdict::Continue;
         };
         let Some(mac) = self.lookup(repr.target_ip) else {
-            self.unknown_targets += 1;
             return PacketInVerdict::Continue;
         };
         // Answer from the host table with the target's real MAC, out of
@@ -326,13 +213,12 @@ impl App for ArpProxy {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::node::test_handle;
-    use openflow::message::Message;
+    use crate::node::{flow_mods, sent};
     use openflow::FlowModCommand;
 
-    fn route(ip: [u8; 4], mac: u32) -> HostRoute {
+    pub(crate) fn route(ip: [u8; 4], mac: u32) -> HostRoute {
         HostRoute {
             ip: Ipv4Addr::from(ip),
             mac: MacAddr::host(mac),
@@ -341,115 +227,32 @@ mod tests {
         }
     }
 
-    /// Decode a queue of encoded messages into `(command, match)` pairs
-    /// for the flow-mods, in order.
-    fn flow_mods(queue: &[bytes::Bytes]) -> Vec<(FlowModCommand, Match)> {
-        queue
-            .iter()
-            .filter_map(|b| match Message::decode(b).expect("well-formed").1 {
-                Message::FlowMod(fm) => Some((fm.command, fm.match_)),
-                _ => None,
-            })
-            .collect()
-    }
-
     #[test]
     fn add_host_replaces_existing_ips() {
-        let mut p = ArpProxy::new();
-        p.add_host(route([10, 0, 0, 1], 1));
-        p.add_host(route([10, 0, 0, 2], 2));
-        assert_eq!(p.hosts_known(), 2);
+        let p = ArpProxy::new();
+        p.hosts().borrow_mut().upsert(route([10, 0, 0, 1], 1));
+        p.hosts().borrow_mut().upsert(route([10, 0, 0, 2], 2));
+        assert_eq!(p.hosts().borrow().len(), 2);
         assert_eq!(p.lookup(Ipv4Addr::new(10, 0, 0, 1)), Some(MacAddr::host(1)));
         // Re-registering the same IP with a new MAC replaces the entry.
-        p.add_host(route([10, 0, 0, 1], 7));
-        assert_eq!(p.hosts_known(), 2);
+        p.hosts().borrow_mut().upsert(route([10, 0, 0, 1], 7));
+        assert_eq!(p.hosts().borrow().len(), 2);
         assert_eq!(p.lookup(Ipv4Addr::new(10, 0, 0, 1)), Some(MacAddr::host(7)));
         assert_eq!(p.lookup(Ipv4Addr::new(10, 0, 0, 9)), None);
     }
 
     #[test]
-    fn move_deletes_stale_rules_before_installing_new_ones() {
-        let mut p = ArpProxy::new();
-        let mac = MacAddr::host(1);
-        p.add_host(HostRoute {
-            ip: Ipv4Addr::new(10, 0, 0, 1),
-            mac,
-            ports: vec![(0x52, 1), (0x53, 9)],
-            guards: vec![(0x53, 9)],
-        });
-        let (mut xid, mut fms) = (0, 0);
-        let mut q52 = Vec::new();
-        p.sync_switch(&mut test_handle(0x52, &mut xid, &mut q52, &mut fms));
-        assert_eq!(flow_mods(&q52).len(), 1);
-        assert_eq!(p.routes_retracted(), 0);
-
-        // The host moves: same identity, new location.
-        p.add_host(HostRoute {
-            ip: Ipv4Addr::new(10, 0, 0, 1),
-            mac,
-            ports: vec![(0x53, 2), (0x52, 7)],
-            guards: Vec::new(),
-        });
-        q52.clear();
-        p.sync_switch(&mut test_handle(0x52, &mut xid, &mut q52, &mut fms));
-        let mods = flow_mods(&q52);
-        // Delete of the old rule first, then the add of the new route —
-        // the reverse order would delete the fresh rule.
-        assert_eq!(mods[0].0, FlowModCommand::Delete);
-        assert_eq!(mods[0].1, Match::new().eth_dst(mac));
-        assert_eq!(mods[1].0, FlowModCommand::Add);
-        assert_eq!(mods.len(), 2);
-        // 0x53 held a route *and* a guard, swept by the one delete.
-        let mut q53 = Vec::new();
-        p.sync_switch(&mut test_handle(0x53, &mut xid, &mut q53, &mut fms));
-        let mods = flow_mods(&q53);
-        assert_eq!(mods[0].0, FlowModCommand::Delete);
-        assert_eq!(mods.len(), 2);
-        assert_eq!(p.routes_retracted(), 2);
-        // Syncing again is a no-op: both watermarks caught up.
-        q52.clear();
-        p.sync_switch(&mut test_handle(0x52, &mut xid, &mut q52, &mut fms));
-        assert!(q52.is_empty());
-    }
-
-    #[test]
     fn remove_host_retracts_and_stops_answering() {
         let mut p = ArpProxy::new();
-        p.add_host(route([10, 0, 0, 1], 1));
-        let (mut xid, mut fms) = (0, 0);
-        let mut q = Vec::new();
-        p.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        assert!(p.remove_host(Ipv4Addr::new(10, 0, 0, 1)));
-        assert!(!p.remove_host(Ipv4Addr::new(10, 0, 0, 1)), "already gone");
-        assert_eq!(p.lookup(Ipv4Addr::new(10, 0, 0, 1)), None);
-        assert_eq!(p.hosts_known(), 0);
-        q.clear();
-        p.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        let mods = flow_mods(&q);
+        p.hosts().borrow_mut().upsert(route([10, 0, 0, 1], 1));
+        sent(0x52, |sw| p.on_tick(sw));
+        let ip = Ipv4Addr::new(10, 0, 0, 1);
+        assert!(p.hosts().borrow_mut().remove(ip));
+        assert!(!p.hosts().borrow_mut().remove(ip), "already gone");
+        assert_eq!(p.lookup(ip), None);
+        assert_eq!(p.hosts().borrow().len(), 0);
+        let mods = flow_mods(&sent(0x52, |sw| p.on_tick(sw)));
         assert_eq!(mods.len(), 1);
-        assert_eq!(mods[0].0, FlowModCommand::Delete);
-    }
-
-    #[test]
-    fn rehandshake_reinstalls_routes_and_skips_stale_deletes() {
-        let mut p = ArpProxy::new();
-        p.add_host(route([10, 0, 0, 1], 1));
-        p.add_host(route([10, 0, 0, 2], 2));
-        let (mut xid, mut fms) = (0, 0);
-        let mut q = Vec::new();
-        p.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        p.remove_host(Ipv4Addr::new(10, 0, 0, 2));
-        // The datapath reboots before the tick that would retract: its
-        // tables are empty, so the handshake must re-install host 1 and
-        // not bother deleting rules that no longer exist.
-        q.clear();
-        p.on_switch_ready(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        let mods = flow_mods(&q);
-        assert!(
-            mods.iter().all(|(c, _)| *c == FlowModCommand::Add),
-            "no deletes into a fresh table: {mods:?}"
-        );
-        // Table-miss + host 1's route; host 2's tombstone installs nothing.
-        assert_eq!(mods.len(), 2);
+        assert_eq!(mods[0].command, FlowModCommand::Delete);
     }
 }

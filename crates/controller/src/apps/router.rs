@@ -29,20 +29,20 @@
 //!   rewrites the MAC pair for the next hop, optionally source-NATs
 //!   (the gateway's default route), and outputs.
 //!
-//! Configuration is per-dpid and wholesale ([`Router::set_config`]):
-//! the fabric layer computes each edge datapath's route list once from
-//! the topology. Sync follows the ArpProxy watermark discipline —
-//! deletes before adds, handshake rewinds the push watermark and skips
-//! deletes into a fresh table.
+//! Configuration is per-dpid and wholesale: each [`RouterConfig`] is one
+//! group in the router's [`crate::desired`] store, and the fabric layer
+//! computes each edge datapath's route list once from the topology. The
+//! shared sync engine deletes a replaced config's rules before adding
+//! the new ones, and a handshake re-installs without deletes.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use netpkt::{EtherType, MacAddr};
 use openflow::message::FlowMod;
 use openflow::{Action, Match, NatDir, OxmField};
 
+use crate::desired::{RuleGroup, Shared, Syncer};
 use crate::node::{App, SwitchHandle};
 
 /// Priority of the table-0 `eth_type == IPv4 → goto NAT stage`
@@ -89,6 +89,8 @@ pub struct PrefixRoute {
 /// One datapath's routing personality.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouterConfig {
+    /// The datapath it is for.
+    pub dpid: u64,
     /// The router's own MAC — `eth_src` of every routed frame.
     pub mac: MacAddr,
     /// The routing table, any order; priorities encode prefix length.
@@ -105,108 +107,19 @@ pub struct RouterConfig {
     pub uplink_guards: Vec<u32>,
 }
 
-/// The per-prefix routing app. See the module docs.
-pub struct Router {
-    configs: HashMap<u64, (u64, RouterConfig)>,
-    /// dpid → config version already installed there.
-    pushed: HashMap<u64, u64>,
-    routes_installed: u64,
-    routes_retracted: u64,
-}
+/// A datapath's config is one desired-state group, keyed by dpid.
+impl RuleGroup for RouterConfig {
+    type Key = u64;
 
-impl Router {
-    /// An empty router; give datapaths a personality with
-    /// [`Router::set_config`] (the fabric layer does this when
-    /// `FabricSpec` enables L3 routing).
-    pub fn new() -> Router {
-        Router {
-            configs: HashMap::new(),
-            pushed: HashMap::new(),
-            routes_installed: 0,
-            routes_retracted: 0,
-        }
+    fn key(&self) -> u64 {
+        self.dpid
     }
 
-    /// Install or replace `dpid`'s routing config. An already-connected
-    /// datapath converges on the next tick (or an explicit
-    /// [`Router::sync_switch`]): its previous routing rules are deleted
-    /// first, then the new set installed — never both, never neither.
-    /// Setting a config identical to the current one is a no-op, so
-    /// callers can recompute-and-set wholesale without churning rules.
-    pub fn set_config(&mut self, dpid: u64, config: RouterConfig) {
-        let v = match self.configs.get(&dpid) {
-            Some((v, c)) if *c == config => *v,
-            Some((v, _)) => *v + 1,
-            None => 1,
-        };
-        self.configs.insert(dpid, (v, config));
+    fn touches(&self, dpid: u64) -> bool {
+        self.dpid == dpid
     }
 
-    /// `dpid`'s current config, if any.
-    pub fn config(&self, dpid: u64) -> Option<&RouterConfig> {
-        self.configs.get(&dpid).map(|(_, c)| c)
-    }
-
-    /// Datapaths with a routing personality.
-    pub fn configured(&self) -> usize {
-        self.configs.len()
-    }
-
-    /// Flow-mod adds issued for routing state so far.
-    pub fn routes_installed(&self) -> u64 {
-        self.routes_installed
-    }
-
-    /// Flow-mod deletes issued for superseded routing state so far.
-    pub fn routes_retracted(&self) -> u64 {
-        self.routes_retracted
-    }
-
-    /// Rules the current config implies for one datapath: classifier +
-    /// NAT-stage entries + one per route. What a test should count.
-    pub fn rules_for(&self, dpid: u64) -> usize {
-        self.config(dpid)
-            .map(|c| {
-                2 + usize::from(c.nat_external.is_some())
-                    + 2 * c.uplink_guards.len()
-                    + c.routes.len()
-            })
-            .unwrap_or(0)
-    }
-
-    /// Bring `sw`'s datapath up to date with its config *now*. Stale
-    /// rules (an older config version) are deleted before the new set
-    /// is installed; an up-to-date datapath is left untouched.
-    pub fn sync_switch(&mut self, sw: &mut SwitchHandle) {
-        let dpid = sw.dpid;
-        let Some((version, config)) = self.configs.get(&dpid).cloned() else {
-            return;
-        };
-        let installed = *self.pushed.get(&dpid).unwrap_or(&0);
-        if installed == version {
-            return;
-        }
-        if installed != 0 {
-            self.retract(sw);
-        }
-        self.push(sw, &config);
-        self.pushed.insert(dpid, version);
-        sw.barrier();
-    }
-
-    /// Delete every rule this app owns on `sw`: the tables it has to
-    /// itself wholesale, the shared table 0 by the classifier's exact
-    /// match (a non-strict `eth_type` delete matches no `eth_dst`
-    /// route and not the table-miss entry).
-    fn retract(&mut self, sw: &mut SwitchHandle) {
-        self.routes_retracted += 3;
-        let ipv4 = Match::new().eth_type(EtherType::IPV4.0);
-        sw.flow_mod(FlowMod::delete(0).match_(ipv4));
-        sw.flow_mod(FlowMod::delete(NAT_TABLE));
-        sw.flow_mod(FlowMod::delete(ROUTE_TABLE));
-    }
-
-    fn push(&mut self, sw: &mut SwitchHandle, config: &RouterConfig) {
+    fn install(&self, sw: &mut SwitchHandle) {
         // Table 0: IPv4 enters the routed pipeline (unless a pod-local
         // eth_dst route above this priority short-circuits it).
         sw.flow_mod(
@@ -218,15 +131,14 @@ impl Router {
         // Guarded uplinks (flooding interconnects): accept only IPv4
         // addressed to this router, drop stray flood copies that would
         // otherwise be reflected back into the fabric.
-        for &port in &config.uplink_guards {
-            self.routes_installed += 2;
+        for &port in &self.uplink_guards {
             sw.flow_mod(
                 FlowMod::add(0)
                     .priority(GUARD_ACCEPT_PRIORITY)
                     .match_(
                         Match::new()
                             .in_port(port)
-                            .eth_dst(config.mac)
+                            .eth_dst(self.mac)
                             .eth_type(EtherType::IPV4.0),
                     )
                     .goto(NAT_TABLE),
@@ -240,7 +152,7 @@ impl Router {
         }
         // Table 1: reverse-NAT traffic addressed to the external IP on
         // gateways; everything falls through to the route stage.
-        if let Some(ext) = config.nat_external {
+        if let Some(ext) = self.nat_external {
             sw.flow_mod(
                 FlowMod::add(NAT_TABLE)
                     .priority(NAT_INGRESS_PRIORITY)
@@ -250,10 +162,9 @@ impl Router {
             );
         }
         sw.flow_mod(FlowMod::add(NAT_TABLE).priority(0).goto(ROUTE_TABLE));
-        self.routes_installed += 2 + u64::from(config.nat_external.is_some());
         // Table 2: the routing table. No table-miss entry: a routed
         // packet no prefix covers is dropped, as a router should.
-        for r in &config.routes {
+        for r in &self.routes {
             let mask = prefix_mask(r.len);
             let m = if r.len == 0 {
                 Match::new().eth_type(EtherType::IPV4.0)
@@ -266,10 +177,9 @@ impl Router {
             if let Some(dir) = r.nat {
                 actions.push(Action::Nat(dir));
             }
-            actions.push(Action::SetField(OxmField::EthSrc(config.mac, None)));
+            actions.push(Action::SetField(OxmField::EthSrc(self.mac, None)));
             actions.push(Action::SetField(OxmField::EthDst(r.next_hop, None)));
             actions.push(Action::output(r.out_port));
-            self.routes_installed += 1;
             sw.flow_mod(
                 FlowMod::add(ROUTE_TABLE)
                     .priority(ROUTE_PRIORITY_BASE + u16::from(r.len))
@@ -277,6 +187,60 @@ impl Router {
                     .apply(actions),
             );
         }
+    }
+
+    /// Delete every rule the router owns on `sw`: the tables it has to
+    /// itself wholesale, the shared table 0 by the classifier's exact
+    /// match (a non-strict `eth_type` delete matches no `eth_dst` route
+    /// and not the table-miss entry).
+    fn retract(&self, sw: &mut SwitchHandle) {
+        let ipv4 = Match::new().eth_type(EtherType::IPV4.0);
+        sw.flow_mod(FlowMod::delete(0).match_(ipv4));
+        sw.flow_mod(FlowMod::delete(NAT_TABLE));
+        sw.flow_mod(FlowMod::delete(ROUTE_TABLE));
+    }
+}
+
+/// The per-prefix routing app. See the module docs.
+#[derive(Default)]
+pub struct Router {
+    configs: Syncer<RouterConfig>,
+}
+
+impl Router {
+    /// An empty router. Upsert a [`RouterConfig`] into [`Self::configs`]
+    /// to install or replace its datapath's personality (the fabric does
+    /// this under L3 routing): the old rules go before the new ones land,
+    /// and an identical config is a no-op, so callers can recompute and
+    /// set wholesale without churning rules.
+    pub fn new() -> Router {
+        Self::default()
+    }
+
+    /// The per-datapath configs this router installs.
+    pub fn configs(&self) -> &Shared<RouterConfig> {
+        self.configs.store()
+    }
+
+    /// Serve `configs` instead of this router's own — a standby
+    /// controller adopting the primary's.
+    pub fn share_configs(&mut self, configs: Shared<RouterConfig>) {
+        self.configs.share(configs);
+    }
+
+    /// Rules the current config implies for one datapath: classifier +
+    /// NAT-stage entries + one per route. What a test should count.
+    pub fn rules_for(&self, dpid: u64) -> usize {
+        self.configs
+            .store()
+            .borrow()
+            .get(dpid)
+            .map(|c| {
+                2 + usize::from(c.nat_external.is_some())
+                    + 2 * c.uplink_guards.len()
+                    + c.routes.len()
+            })
+            .unwrap_or(0)
     }
 }
 
@@ -293,29 +257,19 @@ fn mask_addr(a: Ipv4Addr, mask: u32) -> Ipv4Addr {
     Ipv4Addr::from(u32::from(a) & mask)
 }
 
-impl Default for Router {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl App for Router {
     fn name(&self) -> &str {
         "router"
     }
 
     fn on_switch_ready(&mut self, sw: &mut SwitchHandle) {
-        // Handshake means empty tables: rewind the watermark so the
-        // whole config is (re)installed, with no deletes into a table
-        // that lost everything anyway.
-        self.pushed.insert(sw.dpid, 0);
-        self.sync_switch(sw);
+        self.configs.handshake(sw);
     }
 
     fn on_tick(&mut self, sw: &mut SwitchHandle) {
         // Configs set (or replaced) after a datapath's handshake catch
         // up here.
-        self.sync_switch(sw);
+        self.configs.sync(sw);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -324,24 +278,14 @@ impl App for Router {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::node::test_handle;
-    use openflow::message::Message;
+    use crate::node::{flow_mods, sent};
     use openflow::{FlowModCommand, Instruction};
 
-    fn decode(queue: &[bytes::Bytes]) -> Vec<FlowMod> {
-        queue
-            .iter()
-            .filter_map(|b| match Message::decode(b).expect("well-formed").1 {
-                Message::FlowMod(fm) => Some(fm),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn pod_config() -> RouterConfig {
+    pub(crate) fn pod_config() -> RouterConfig {
         RouterConfig {
+            dpid: 0x52,
             mac: MacAddr::host(0x4e00_0001),
             routes: vec![
                 PrefixRoute {
@@ -374,11 +318,8 @@ mod tests {
     #[test]
     fn pushes_classifier_miss_and_length_ranked_routes() {
         let mut r = Router::new();
-        r.set_config(0x52, pod_config());
-        let (mut xid, mut fms) = (0, 0);
-        let mut q = Vec::new();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        let mods = decode(&q);
+        r.configs().borrow_mut().upsert(pod_config());
+        let mods = flow_mods(&sent(0x52, |sw| r.on_tick(sw)));
         // Classifier + NAT miss + 3 routes, all adds.
         assert_eq!(mods.len(), 5);
         assert!(mods.iter().all(|m| m.command == FlowModCommand::Add));
@@ -412,10 +353,8 @@ mod tests {
         assert_eq!(acts[0], Action::DecNwTtl);
         assert_eq!(acts[1], Action::Nat(NatDir::Egress));
         assert!(matches!(acts.last(), Some(Action::Output { port: 9, .. })));
-        // Re-sync is a no-op: the watermark caught up.
-        q.clear();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        assert!(q.is_empty());
+        // Re-sync is a no-op: the cursors caught up.
+        assert!(sent(0x52, |sw| r.on_tick(sw)).is_empty());
     }
 
     #[test]
@@ -423,11 +362,8 @@ mod tests {
         let mut r = Router::new();
         let mut c = pod_config();
         c.nat_external = Some(Ipv4Addr::new(198, 18, 0, 254));
-        r.set_config(0x52, c);
-        let (mut xid, mut fms) = (0, 0);
-        let mut q = Vec::new();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        let mods = decode(&q);
+        r.configs().borrow_mut().upsert(c);
+        let mods = flow_mods(&sent(0x52, |sw| r.on_tick(sw)));
         assert_eq!(mods.len(), 6);
         assert_eq!(mods[1].table_id, NAT_TABLE);
         assert_eq!(mods[1].priority, NAT_INGRESS_PRIORITY);
@@ -441,42 +377,12 @@ mod tests {
     }
 
     #[test]
-    fn reconfigure_deletes_before_reinstalling() {
-        let mut r = Router::new();
-        r.set_config(0x52, pod_config());
-        let (mut xid, mut fms) = (0, 0);
-        let mut q = Vec::new();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        // New personality: one route fewer.
-        let mut c = pod_config();
-        c.routes.truncate(2);
-        r.set_config(0x52, c);
-        q.clear();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        let mods = decode(&q);
-        // Three deletes (shared table by classifier match, own tables
-        // wholesale) strictly before any add.
-        assert_eq!(mods.len(), 3 + 4);
-        assert!(mods[..3]
-            .iter()
-            .all(|m| m.command == FlowModCommand::Delete));
-        assert_eq!(mods[0].match_, Match::new().eth_type(EtherType::IPV4.0));
-        assert_eq!(mods[1].table_id, NAT_TABLE);
-        assert_eq!(mods[2].table_id, ROUTE_TABLE);
-        assert!(mods[3..].iter().all(|m| m.command == FlowModCommand::Add));
-        assert_eq!(r.routes_retracted(), 3);
-    }
-
-    #[test]
     fn guarded_uplinks_accept_own_mac_and_drop_strays() {
         let mut r = Router::new();
         let mut c = pod_config();
         c.uplink_guards = vec![9];
-        r.set_config(0x52, c.clone());
-        let (mut xid, mut fms) = (0, 0);
-        let mut q = Vec::new();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        let mods = decode(&q);
+        r.configs().borrow_mut().upsert(c.clone());
+        let mods = flow_mods(&sent(0x52, |sw| r.on_tick(sw)));
         assert_eq!(mods.len(), 7);
         assert_eq!(r.rules_for(0x52), 7);
         // Accept (to the router's own MAC) outranks the drop.
@@ -499,31 +405,8 @@ mod tests {
             "stray flood copies are dropped, not reflected"
         );
         // Re-setting the identical config does not churn the rules.
-        r.set_config(0x52, c);
-        q.clear();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        assert!(q.is_empty(), "identical config must be a no-op");
-    }
-
-    #[test]
-    fn rehandshake_reinstalls_without_deletes() {
-        let mut r = Router::new();
-        r.set_config(0x52, pod_config());
-        let (mut xid, mut fms) = (0, 0);
-        let mut q = Vec::new();
-        r.sync_switch(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        q.clear();
-        r.on_switch_ready(&mut test_handle(0x52, &mut xid, &mut q, &mut fms));
-        let mods = decode(&q);
-        assert_eq!(mods.len(), 5);
-        assert!(
-            mods.iter().all(|m| m.command == FlowModCommand::Add),
-            "no deletes into a fresh table"
-        );
-        // An unconfigured datapath gets nothing.
-        let mut q2 = Vec::new();
-        r.on_switch_ready(&mut test_handle(0x99, &mut xid, &mut q2, &mut fms));
-        assert!(q2.is_empty());
-        assert_eq!(r.rules_for(0x99), 0);
+        r.configs().borrow_mut().upsert(c);
+        let resync = sent(0x52, |sw| r.on_tick(sw));
+        assert!(resync.is_empty(), "identical config must be a no-op");
     }
 }

@@ -25,6 +25,7 @@
 #![deny(missing_docs)]
 
 pub mod apps;
+pub mod desired;
 pub mod node;
 
 pub use node::{App, ControllerNode, PacketInEvent, PacketInVerdict, SwitchHandle};

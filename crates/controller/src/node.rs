@@ -124,22 +124,6 @@ impl SwitchHandle<'_> {
         self.send_durable(Message::FlowMod(fm));
     }
 
-    /// Send a group-mod.
-    pub fn group_mod(
-        &mut self,
-        command: openflow::group::GroupModCommand,
-        type_: openflow::GroupType,
-        group_id: u32,
-        buckets: Vec<openflow::Bucket>,
-    ) {
-        self.send_durable(Message::GroupMod {
-            command,
-            type_,
-            group_id,
-            buckets,
-        });
-    }
-
     /// Emit a frame out of a specific port (or FLOOD).
     pub fn packet_out(&mut self, out_port: u32, data: Bytes) {
         self.send(Message::PacketOut {
@@ -164,16 +148,6 @@ impl SwitchHandle<'_> {
         });
     }
 
-    /// Emit a frame with arbitrary actions.
-    pub fn packet_out_actions(&mut self, in_port: u32, actions: Vec<Action>, data: Bytes) {
-        self.send(Message::PacketOut {
-            buffer_id: NO_BUFFER,
-            in_port,
-            actions,
-            data,
-        });
-    }
-
     /// Request flow statistics (reply arrives via `on_stats`).
     pub fn request_flow_stats(&mut self) {
         self.send(Message::MultipartRequest(MultipartReq::Flow {
@@ -192,26 +166,33 @@ impl SwitchHandle<'_> {
     }
 }
 
-/// A free-standing [`SwitchHandle`] over caller-owned buffers, for app
-/// unit tests that want to drive callbacks without a running network.
+/// Run `f` against a free-standing [`SwitchHandle`] for `dpid` (app
+/// unit tests drive callbacks without a running network) and return
+/// what it sent, decoded, in order.
 #[cfg(test)]
-pub(crate) fn test_handle<'a>(
-    dpid: u64,
-    xid: &'a mut Xid,
-    queue: &'a mut Vec<Bytes>,
-    flow_mods_sent: &'a mut u64,
-) -> SwitchHandle<'a> {
-    SwitchHandle {
+pub(crate) fn sent(dpid: u64, f: impl FnOnce(&mut SwitchHandle)) -> Vec<Message> {
+    let (mut xid, mut flow_mods_sent) = (0, 0);
+    let (mut queue, mut durable) = (Vec::new(), Vec::new());
+    f(&mut SwitchHandle {
         dpid,
         ports: &[],
-        xid,
-        queue,
-        // App tests assert on `queue` only; the durability tracking is a
-        // node-level concern, so a throwaway (leaked, test-only) buffer
-        // keeps the helper's signature stable.
-        durable: Box::leak(Box::default()),
-        flow_mods_sent,
-    }
+        xid: &mut xid,
+        queue: &mut queue,
+        durable: &mut durable,
+        flow_mods_sent: &mut flow_mods_sent,
+    });
+    let decode = |b: &Bytes| Message::decode(b).expect("well-formed").1;
+    queue.iter().map(decode).collect()
+}
+
+/// The flow-mods among `msgs`, in order.
+#[cfg(test)]
+pub(crate) fn flow_mods(msgs: &[Message]) -> Vec<FlowMod> {
+    let fm = |m: &Message| match m {
+        Message::FlowMod(fm) => Some(fm.clone()),
+        _ => None,
+    };
+    msgs.iter().filter_map(fm).collect()
 }
 
 /// What an app decided about a packet-in it was offered.
@@ -285,7 +266,6 @@ pub struct ControllerNode {
     switch_deaths: u64,
     promotions: u64,
     stale_echo_replies: u64,
-    slave_ignored: u64,
 }
 
 impl ControllerNode {
@@ -305,7 +285,6 @@ impl ControllerNode {
             switch_deaths: 0,
             promotions: 0,
             stale_echo_replies: 0,
-            slave_ignored: 0,
         }
     }
 
@@ -353,11 +332,6 @@ impl ControllerNode {
         self.stale_echo_replies
     }
 
-    /// Packet-ins ignored while in the slave role.
-    pub fn slave_ignored(&self) -> u64 {
-        self.slave_ignored
-    }
-
     /// Connected switch node ids in deterministic (id) order. All bulk
     /// sends iterate in this order: HashMap order varies between map
     /// instances, and send order feeds the simulator's event sequence
@@ -394,19 +368,6 @@ impl ControllerNode {
     /// a soft spine when the interconnect has one.
     pub fn ready_switches(&self) -> usize {
         self.switches.values().filter(|s| s.ready).count()
-    }
-
-    /// Datapath ids of all ready switches, sorted (for assertions over
-    /// multi-pod fabrics).
-    pub fn ready_dpids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .switches
-            .values()
-            .filter(|s| s.ready)
-            .map(|s| s.dpid)
-            .collect();
-        ids.sort_unstable();
-        ids
     }
 
     /// Typed access to an app (for runtime policy updates).
@@ -486,26 +447,25 @@ impl ControllerNode {
         }
     }
 
-    /// Offer an event to every app in chain order; an app returning
-    /// [`PacketInVerdict::Consumed`] ends dispatch (non-packet-in
-    /// callbacks simply return `Continue`).
+    /// Offer an event from switch `from` to every app in chain order;
+    /// an app returning [`PacketInVerdict::Consumed`] ends dispatch
+    /// (non-packet-in callbacks simply return `Continue`).
     fn dispatch_to_apps(
-        apps: &mut [Box<dyn App>],
-        st: &SwitchState,
-        xid: &mut Xid,
-        flow_mods_sent: &mut u64,
+        &mut self,
+        from: NodeId,
         queue: &mut Vec<Bytes>,
         durable: &mut Vec<Bytes>,
         mut f: impl FnMut(&mut dyn App, &mut SwitchHandle) -> PacketInVerdict,
     ) {
-        for app in apps.iter_mut() {
+        let st = &self.switches[&from];
+        for app in self.apps.iter_mut() {
             let mut handle = SwitchHandle {
                 dpid: st.dpid,
                 ports: &st.ports,
-                xid,
+                xid: &mut self.xid,
                 queue,
                 durable,
-                flow_mods_sent,
+                flow_mods_sent: &mut self.flow_mods_sent,
             };
             if f(app.as_mut(), &mut handle) == PacketInVerdict::Consumed {
                 break;
@@ -672,19 +632,10 @@ impl Node for ControllerNode {
                             .encode(self.xid),
                         );
                     }
-                    let st = self.switches.get(&from).unwrap();
-                    Self::dispatch_to_apps(
-                        &mut self.apps,
-                        st,
-                        &mut self.xid,
-                        &mut self.flow_mods_sent,
-                        &mut queue,
-                        &mut durable,
-                        |app, h| {
-                            app.on_switch_ready(h);
-                            PacketInVerdict::Continue
-                        },
-                    );
+                    self.dispatch_to_apps(from, &mut queue, &mut durable, |app, h| {
+                        app.on_switch_ready(h);
+                        PacketInVerdict::Continue
+                    });
                 }
                 Message::PacketIn {
                     reason,
@@ -696,7 +647,6 @@ impl Node for ControllerNode {
                     if self.role == ControllerRole::Slave {
                         // Slaves are warm standbys: they watch but must
                         // not program switches another master owns.
-                        self.slave_ignored += 1;
                         continue;
                     }
                     let in_port = match_
@@ -713,46 +663,21 @@ impl Node for ControllerNode {
                         key: FlowKey::extract_lossy(in_port, &data),
                         data,
                     };
-                    let st = self.switches.get(&from).unwrap();
-                    Self::dispatch_to_apps(
-                        &mut self.apps,
-                        st,
-                        &mut self.xid,
-                        &mut self.flow_mods_sent,
-                        &mut queue,
-                        &mut durable,
-                        |app, h| app.on_packet_in(h, &ev),
-                    );
+                    self.dispatch_to_apps(from, &mut queue, &mut durable, |app, h| {
+                        app.on_packet_in(h, &ev)
+                    });
                 }
                 m @ Message::FlowRemoved { .. } => {
-                    let st = self.switches.get(&from).unwrap();
-                    Self::dispatch_to_apps(
-                        &mut self.apps,
-                        st,
-                        &mut self.xid,
-                        &mut self.flow_mods_sent,
-                        &mut queue,
-                        &mut durable,
-                        |app, h| {
-                            app.on_flow_removed(h, &m);
-                            PacketInVerdict::Continue
-                        },
-                    );
+                    self.dispatch_to_apps(from, &mut queue, &mut durable, |app, h| {
+                        app.on_flow_removed(h, &m);
+                        PacketInVerdict::Continue
+                    });
                 }
                 m @ Message::MultipartReply(_) => {
-                    let st = self.switches.get(&from).unwrap();
-                    Self::dispatch_to_apps(
-                        &mut self.apps,
-                        st,
-                        &mut self.xid,
-                        &mut self.flow_mods_sent,
-                        &mut queue,
-                        &mut durable,
-                        |app, h| {
-                            app.on_stats(h, &m);
-                            PacketInVerdict::Continue
-                        },
-                    );
+                    self.dispatch_to_apps(from, &mut queue, &mut durable, |app, h| {
+                        app.on_stats(h, &m);
+                        PacketInVerdict::Continue
+                    });
                 }
                 Message::RoleReply { .. } => {}
                 Message::Error { ty, .. } => {

@@ -61,9 +61,11 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use controller::apps::{ArpProxy, HostRoute, PrefixRoute, Router, RouterConfig};
-use controller::ControllerNode;
+use controller::desired::Shared;
+use controller::{App, ControllerNode};
 use legacy_switch::LegacySwitchNode;
 use netpkt::vlan::{push_vlan, VlanTag};
 use netpkt::MacAddr;
@@ -96,6 +98,13 @@ pub const SPINE_ROUTER_MAC: MacAddr = MacAddr::host(0x4e00_ff00);
 /// IPv4 identity of the soft spine's routing stage (service space) —
 /// the source address of its ICMP time-exceeded replies.
 pub const SPINE_ROUTER_IP: Ipv4Addr = Ipv4Addr::new(10, 200, 255, 254);
+/// Skipping a missing [`ArpProxy`] would quietly restore the O(hosts²) flood.
+const NO_ARP_PROXY: &str = "FabricSpec::arp_proxy is set, but the fabric controller \
+                            has no ArpProxy app (chain one before the learning app)";
+/// Skipping a missing [`Router`] would blackhole inter-pod traffic.
+const NO_ROUTER: &str = "FabricSpec::l3_routing is set, but the fabric controller \
+                         has no Router app (chain one after the ArpProxy)";
+
 /// MAC of the upstream "internet" host a gateway pod NATs toward.
 pub const INTERNET_MAC: MacAddr = MacAddr::host(0x4e01_0001);
 
@@ -357,18 +366,6 @@ impl FabricSpec {
         self
     }
 
-    /// Builder-style uplink link model.
-    pub fn with_uplink_link(mut self, l: LinkSpec) -> Self {
-        self.uplink_link = l;
-        self
-    }
-
-    /// Builder-style spine datapath id.
-    pub fn with_spine_dpid(mut self, dpid: u64) -> Self {
-        self.spine_dpid = dpid;
-        self
-    }
-
     /// Builder-style ARP-proxy flood containment (see
     /// [`FabricSpec::arp_proxy`]).
     pub fn with_arp_proxy(mut self, on: bool) -> Self {
@@ -543,6 +540,8 @@ impl FabricSpec {
             station_ports: std::collections::BTreeSet::new(),
             controller: None,
             backup_controller: None,
+            hosts: None,
+            routes: None,
             internet: None,
         })
     }
@@ -593,6 +592,12 @@ pub struct Fabric {
     /// [`Fabric::connect_backup_controller`]; switches dial it only
     /// after declaring the primary dead.
     backup_controller: Option<NodeId>,
+    /// The controller's ARP-proxy host table (with
+    /// [`FabricSpec::arp_proxy`]), shared with the backup.
+    hosts: Option<Shared<HostRoute>>,
+    /// The controller's router configs (with [`FabricSpec::l3_routing`]),
+    /// shared with the backup.
+    routes: Option<Shared<RouterConfig>>,
     /// The upstream host placed by [`Fabric::attach_internet`].
     internet: Option<NodeId>,
 }
@@ -606,14 +611,9 @@ impl Fabric {
     /// Handle of pod `i`.
     ///
     /// # Panics
-    /// Panics if `i` is out of range; use [`Self::try_pod`] to probe.
+    /// Panics if `i` is out of range.
     pub fn pod(&self, i: usize) -> &HarmlessInstance {
         &self.pods[i]
-    }
-
-    /// Handle of pod `i`, if it exists.
-    pub fn try_pod(&self, i: usize) -> Option<&HarmlessInstance> {
-        self.pods.get(i)
     }
 
     /// Iterate over all pods.
@@ -693,10 +693,7 @@ impl Fabric {
         self.attached.insert((pod, port), h);
         self.host_ports.insert((pod, port));
         self.pods[pod].attach_node(net, port, h);
-        if self.spec.arp_proxy && self.controller.is_some() {
-            let route = self.host_route(pod, port);
-            self.push_route(net, route);
-        }
+        self.register_route(self.host_route(pod, port));
         self.sync_l3(net);
         Ok(h)
     }
@@ -776,45 +773,25 @@ impl Fabric {
         (ports, guards)
     }
 
-    /// Register one route with the connected controller's [`ArpProxy`].
-    ///
-    /// # Panics
-    /// Panics if the controller node runs no [`ArpProxy`] app — the
-    /// spec explicitly asked for proxying, so silently skipping it would
-    /// quietly restore the O(hosts²) flood.
-    fn push_route(&self, net: &mut Network, route: HostRoute) {
-        let ctrl = self.controller.expect("push_route with a controller");
-        if let Some(backup) = self.backup_controller {
-            Self::push_route_to(net, backup, route.clone());
+    /// Register one route in the controller's [`ArpProxy`] host table
+    /// (a no-op without the proxy or a controller).
+    fn register_route(&self, route: HostRoute) {
+        if let Some(hosts) = &self.hosts {
+            hosts.borrow_mut().upsert(route);
         }
-        Self::push_route_to(net, ctrl, route);
     }
 
-    /// Feed one host route into `ctrl`'s [`ArpProxy`]. The warm-standby
-    /// backup gets the same feed as the primary so that, after a
-    /// fail-over, it rebuilds an identical rule set.
-    fn push_route_to(net: &mut Network, ctrl: NodeId, route: HostRoute) {
-        net.node_mut::<ControllerNode>(ctrl)
-            .app_mut::<ArpProxy>()
-            .expect(
-                "FabricSpec::arp_proxy is set, but the fabric controller \
-                 has no ArpProxy app (chain one before the learning app)",
-            )
-            .add_host(route);
-    }
-
-    /// Flush pending [`ArpProxy`] retractions/installs to every ready
-    /// datapath immediately, instead of waiting for the next controller
-    /// tick. Safe without the proxy flag — it is then a no-op.
-    fn sync_proxy_now(&self, net: &mut Network) {
+    /// Run app `A`'s tick sync on every ready datapath of the controller
+    /// now, instead of waiting for the next tick.
+    fn sync_now<A: App>(&self, net: &mut Network) {
         let Some(ctrl) = self.controller else { return };
         net.with_node_ctx::<ControllerNode, _>(ctrl, |c, ctx| {
             c.for_each_switch(ctx, |apps, sw| {
-                if let Some(p) = apps
+                if let Some(a) = apps
                     .iter_mut()
-                    .find_map(|a| a.as_any_mut().downcast_mut::<ArpProxy>())
+                    .find_map(|a| a.as_any_mut().downcast_mut::<A>())
                 {
-                    p.sync_switch(sw);
+                    a.on_tick(sw);
                 }
             });
         });
@@ -866,26 +843,13 @@ impl Fabric {
                 nat: None,
             });
         }
-        // Local delivery: identity from the attached node itself for
-        // hosts (a migrated host keeps its original addresses), from
-        // the port for stations (that is the identity they signed up
-        // for in attach_station).
-        for &(hp, hport) in self.host_ports.iter().filter(|&&(hp, _)| hp == p) {
-            let hr = net.node_ref::<Host>(self.attached[&(hp, hport)]);
+        // Local delivery: one /32 per identity attached to this pod.
+        for ((_, port), ip, mac) in self.identities(net).filter(|&((hp, _), ..)| hp == p) {
             routes.push(PrefixRoute {
-                prefix: hr.ip(),
+                prefix: ip,
                 len: 32,
-                out_port: u32::from(hport),
-                next_hop: hr.mac(),
-                nat: None,
-            });
-        }
-        for &(sp, sport) in self.station_ports.iter().filter(|&&(sp, _)| sp == p) {
-            routes.push(PrefixRoute {
-                prefix: self.host_ip(sp, sport),
-                len: 32,
-                out_port: u32::from(sport),
-                next_hop: self.host_mac(sp, sport),
+                out_port: u32::from(port),
+                next_hop: mac,
                 nat: None,
             });
         }
@@ -934,6 +898,7 @@ impl Fabric {
             Vec::new()
         };
         RouterConfig {
+            dpid: self.pods[p].spec.ss2_dpid,
             mac: router_mac(p),
             routes,
             nat_external,
@@ -988,6 +953,7 @@ impl Fabric {
             });
         }
         RouterConfig {
+            dpid: self.spec.spine_dpid,
             mac: SPINE_ROUTER_MAC,
             routes,
             nat_external: None,
@@ -1002,33 +968,14 @@ impl Fabric {
     /// and flush to every ready datapath. Identical configs are
     /// no-ops end to end, so this is safe to call on every attach,
     /// detach and migrate.
-    ///
-    /// # Panics
-    /// Panics if the controller runs no [`Router`] app while
-    /// [`FabricSpec::l3_routing`] is set — silently skipping it would
-    /// leave inter-pod traffic blackholed at the first classifier.
     fn sync_l3(&self, net: &mut Network) {
-        if !self.spec.l3_routing {
-            return;
-        }
-        let Some(ctrl) = self.controller else { return };
-        let mut configs: Vec<(u64, RouterConfig)> = (0..self.pods.len())
-            .map(|p| (self.pods[p].spec.ss2_dpid, self.l3_pod_config(net, p)))
-            .collect();
-        if let Some(Spine::Soft(_)) = self.spine {
-            configs.push((self.spec.spine_dpid, self.l3_spine_config(net)));
-        }
-        for c in [Some(ctrl), self.backup_controller].into_iter().flatten() {
-            let r = net
-                .node_mut::<ControllerNode>(c)
-                .app_mut::<Router>()
-                .expect(
-                    "FabricSpec::l3_routing is set, but the fabric controller \
-                     has no Router app (chain one after the ArpProxy)",
-                );
-            for (dpid, cfg) in &configs {
-                r.set_config(*dpid, cfg.clone());
-            }
+        let Some(routes) = &self.routes else { return };
+        let spine = matches!(self.spine, Some(Spine::Soft(_))).then(|| self.l3_spine_config(net));
+        for c in (0..self.pods.len())
+            .map(|p| self.l3_pod_config(net, p))
+            .chain(spine)
+        {
+            routes.borrow_mut().upsert(c);
         }
         for (p, px) in self.pods.iter().enumerate() {
             let dp = net.node_mut::<SoftSwitchNode>(px.ss2).datapath_mut();
@@ -1047,24 +994,7 @@ impl Fabric {
                 dp.set_router(SPINE_ROUTER_IP, SPINE_ROUTER_MAC);
             }
         }
-        self.sync_router_now(net);
-    }
-
-    /// Flush pending [`Router`] retractions/installs to every ready
-    /// datapath immediately, instead of waiting for the next
-    /// controller tick.
-    fn sync_router_now(&self, net: &mut Network) {
-        let Some(ctrl) = self.controller else { return };
-        net.with_node_ctx::<ControllerNode, _>(ctrl, |c, ctx| {
-            c.for_each_switch(ctx, |apps, sw| {
-                if let Some(r) = apps
-                    .iter_mut()
-                    .find_map(|a| a.as_any_mut().downcast_mut::<Router>())
-                {
-                    r.sync_switch(sw);
-                }
-            });
-        });
+        self.sync_now::<Router>(net);
     }
 
     /// Place the upstream "internet" host at the gateway's access
@@ -1081,33 +1011,26 @@ impl Fabric {
         let h = net.add_node(Host::new("internet", INTERNET_MAC, gw.internet_ip));
         self.attach_node(net, gw.pod, gw.port, h)?;
         self.internet = Some(h);
-        if self.spec.arp_proxy && self.controller.is_some() {
-            self.push_route(
-                net,
-                HostRoute {
-                    ip: gw.internet_ip,
-                    mac: INTERNET_MAC,
-                    ports: Vec::new(),
-                    guards: Vec::new(),
-                },
-            );
-            self.sync_proxy_now(net);
+        if self.hosts.is_some() {
+            self.register_route(HostRoute {
+                ip: gw.internet_ip,
+                mac: INTERNET_MAC,
+                ports: Vec::new(),
+                guards: Vec::new(),
+            });
+            self.sync_now::<ArpProxy>(net);
         }
         Ok(h)
     }
 
-    /// The upstream host placed by [`Fabric::attach_internet`], if any.
-    pub fn internet_node(&self) -> Option<NodeId> {
-        self.internet
-    }
-
     /// Detach the station on `(pod, port)`: cut its access link (frames
     /// queued on it are blackholed, as on any cable pull) and free the
-    /// port for a new attachment. For [`Self::attach_host`] stations
-    /// with the ARP proxy on, the host's entry is removed and its
-    /// proactive routes are retracted fabric-wide right away — leaving
-    /// them would blackhole every frame for that MAC at its old edge.
-    /// Returns the detached node.
+    /// port for a new attachment. For identity-carrying stations
+    /// ([`Self::attach_host`], [`Self::attach_station`]) with the ARP
+    /// proxy on, the entry is removed and its proactive routes are
+    /// retracted fabric-wide right away — leaving them would blackhole
+    /// every frame for that MAC at its old edge. Returns the detached
+    /// node.
     pub fn detach_host(
         &mut self,
         net: &mut Network,
@@ -1118,22 +1041,14 @@ impl Fabric {
         let Some(&h) = self.attached.get(&(pod, port)) else {
             return Err(FabricError::NothingAttached { pod, port });
         };
+        let identity = self.identity(net, (pod, port));
         self.attached.remove(&(pod, port));
-        let carries_identity = self.host_ports.remove(&(pod, port));
+        self.host_ports.remove(&(pod, port));
         self.station_ports.remove(&(pod, port));
         net.disconnect(h, PortId(0));
-        if let Some(ctrl) = self
-            .controller
-            .filter(|_| carries_identity && self.spec.arp_proxy)
-        {
-            let ip = net.node_ref::<Host>(h).ip();
-            for c in [Some(ctrl), self.backup_controller].into_iter().flatten() {
-                net.node_mut::<ControllerNode>(c)
-                    .app_mut::<ArpProxy>()
-                    .expect("arp_proxy flag verified on attach")
-                    .remove_host(ip);
-            }
-            self.sync_proxy_now(net);
+        if let (Some(hosts), Some((ip, _))) = (&self.hosts, identity) {
+            hosts.borrow_mut().remove(ip);
+            self.sync_now::<ArpProxy>(net);
         }
         self.sync_l3(net);
         Ok(h)
@@ -1175,22 +1090,16 @@ impl Fabric {
         self.attached.insert(to, h);
         self.host_ports.insert(to);
         self.pods[to.0].attach_node(net, to.1, h);
-        if self.spec.arp_proxy && self.controller.is_some() {
-            let (ip, mac) = {
-                let hr = net.node_ref::<Host>(h);
-                (hr.ip(), hr.mac())
-            };
+        if self.hosts.is_some() {
+            let hr = net.node_ref::<Host>(h);
             let (ports, guards) = self.route_location(to.0, to.1);
-            self.push_route(
-                net,
-                HostRoute {
-                    ip,
-                    mac,
-                    ports,
-                    guards,
-                },
-            );
-            self.sync_proxy_now(net);
+            self.register_route(HostRoute {
+                ip: hr.ip(),
+                mac: hr.mac(),
+                ports,
+                guards,
+            });
+            self.sync_now::<ArpProxy>(net);
         }
         self.sync_l3(net);
         Ok(h)
@@ -1231,10 +1140,7 @@ impl Fabric {
     ) -> Result<(), FabricError> {
         self.attach_node(net, pod, port, node)?;
         self.station_ports.insert((pod, port));
-        if self.spec.arp_proxy && self.controller.is_some() {
-            let route = self.host_route(pod, port);
-            self.push_route(net, route);
-        }
+        self.register_route(self.host_route(pod, port));
         self.sync_l3(net);
         Ok(())
     }
@@ -1437,26 +1343,31 @@ impl Fabric {
     /// declaring the primary dead; the backup then rebuilds each
     /// datapath's rules from the resulting re-handshakes. Build the
     /// backup [`ControllerNode`] with the same app chain as the primary
-    /// (and a higher role generation); the fabric replays the routes and
-    /// router configs registered so far into it here, and mirrors every
-    /// later registration, so the rebuilt rule set matches the primary's.
+    /// (and a higher role generation): its [`ArpProxy`] and [`Router`]
+    /// serve the primary's host table and router configs, so the rebuilt
+    /// rule set matches the primary's. Panics, like
+    /// [`Self::register_controller`], if the backup lacks one of them.
     pub fn connect_backup_controller(&mut self, net: &mut Network, backup: NodeId) {
         self.for_each_softswitch(net, |sw| sw.add_backup_controller(backup));
         self.backup_controller = Some(backup);
-        // Warm the standby: replay every proxy route and router config
-        // already registered with the primary, and mirror all future
-        // pushes (push_route / sync_l3 fan out to both from here on).
-        if self.spec.arp_proxy {
-            for route in self.proxy_routes(net) {
-                Self::push_route_to(net, backup, route);
-            }
-        }
-        self.sync_l3(net);
+        self.share_desired_state(net, backup);
     }
 
-    /// The configured backup controller, if any.
-    pub fn backup_controller(&self) -> Option<NodeId> {
-        self.backup_controller
+    /// Point `ctrl`'s [`ArpProxy`] and [`Router`] at the fabric's host
+    /// table and router configs (those the spec enables and a primary
+    /// has registered).
+    fn share_desired_state(&self, net: &mut Network, ctrl: NodeId) {
+        let c = net.node_mut::<ControllerNode>(ctrl);
+        if let Some(hosts) = &self.hosts {
+            c.app_mut::<ArpProxy>()
+                .expect(NO_ARP_PROXY)
+                .share_hosts(Rc::clone(hosts));
+        }
+        if let Some(routes) = &self.routes {
+            c.app_mut::<Router>()
+                .expect(NO_ROUTER)
+                .share_configs(Rc::clone(routes));
+        }
     }
 
     /// Run `f` over every software switch of the fabric — each pod's SS_2
@@ -1478,29 +1389,69 @@ impl Fabric {
     /// controller later through their managers, and the routes
     /// registered here flow to each datapath when it eventually
     /// handshakes ([`ArpProxy`] replays its table on `on_switch_ready`).
+    ///
+    /// # Panics
+    /// Panics if the controller runs no [`ArpProxy`] app while
+    /// [`FabricSpec::arp_proxy`] is set, or no [`Router`] app while
+    /// [`FabricSpec::l3_routing`] is set.
     pub fn register_controller(&mut self, net: &mut Network, controller: NodeId) {
         self.connect_spine(net, controller);
         self.controller = Some(controller);
+        let c = net.node_mut::<ControllerNode>(controller);
         if self.spec.arp_proxy {
+            let hosts = c.app_mut::<ArpProxy>().expect(NO_ARP_PROXY).hosts();
+            self.hosts = Some(Rc::clone(hosts));
+        }
+        if self.spec.l3_routing {
+            let routes = c.app_mut::<Router>().expect(NO_ROUTER).configs();
+            self.routes = Some(Rc::clone(routes));
+        }
+        if let Some(backup) = self.backup_controller {
+            self.share_desired_state(net, backup);
+        }
+        if self.hosts.is_some() {
             for route in self.proxy_routes(net) {
-                self.push_route(net, route);
+                self.register_route(route);
             }
         }
         self.sync_l3(net);
     }
 
-    /// Proactive [`ArpProxy`] routes for every identity-carrying host
-    /// attached so far, plus the internet gateway when configured.
-    /// Identity comes from the attached node itself, not the port — a
-    /// host migrated before the controller connected keeps the
-    /// addresses of its original attach point.
+    /// The fabric-wide identity of the station on `at`, if it carries
+    /// one: from the attached node itself for [`Self::attach_host`]
+    /// hosts (a migrated host keeps its original addresses), from the
+    /// port for [`Self::attach_station`] stations (the identity they
+    /// signed up for).
+    fn identity(&self, net: &Network, at: (usize, u16)) -> Option<(Ipv4Addr, MacAddr)> {
+        if self.host_ports.contains(&at) {
+            let hr = net.node_ref::<Host>(self.attached[&at]);
+            Some((hr.ip(), hr.mac()))
+        } else if self.station_ports.contains(&at) {
+            Some((self.host_ip(at.0, at.1), self.host_mac(at.0, at.1)))
+        } else {
+            None
+        }
+    }
+
+    /// Every identity-carrying attachment with its identity: hosts,
+    /// then stations, each in port order.
+    fn identities<'a>(
+        &'a self,
+        net: &'a Network,
+    ) -> impl Iterator<Item = ((usize, u16), Ipv4Addr, MacAddr)> + 'a {
+        self.host_ports
+            .iter()
+            .chain(&self.station_ports)
+            .filter_map(move |&at| self.identity(net, at).map(|(ip, mac)| (at, ip, mac)))
+    }
+
+    /// Proactive [`ArpProxy`] routes for every identity-carrying
+    /// station attached so far, plus the internet gateway when
+    /// configured.
     fn proxy_routes(&self, net: &Network) -> Vec<HostRoute> {
         let mut routes: Vec<HostRoute> = self
-            .host_ports
-            .iter()
-            .map(|&(pod, port)| {
-                let hr = net.node_ref::<Host>(self.attached[&(pod, port)]);
-                let (ip, mac) = (hr.ip(), hr.mac());
+            .identities(net)
+            .map(|((pod, port), ip, mac)| {
                 let (ports, guards) = self.route_location(pod, port);
                 HostRoute {
                     ip,
@@ -1762,16 +1713,7 @@ mod tests {
         // blackhole count and the same event total.
         let run = || -> (u64, u64, u64, u64) {
             let mut net = Network::new(21);
-            let ctrl = net.add_node(ControllerNode::new(
-                "ctrl",
-                vec![Box::new(ArpProxy::new()), Box::new(LearningSwitch::new())],
-            ));
-            let mut fx = FabricSpec::new(4, HarmlessSpec::new(2))
-                .with_interconnect(Interconnect::SpineSoft)
-                .with_arp_proxy(true)
-                .build(&mut net)
-                .unwrap();
-            fx.configure_direct(&mut net);
+            let (ctrl, mut fx) = proxy_fabric(&mut net, 4);
             fx.connect_controller(&mut net, ctrl);
             let hosts: Vec<NodeId> = (0..4)
                 .map(|p| fx.attach_host(&mut net, p, 1).unwrap())
@@ -2117,16 +2059,7 @@ mod tests {
         use controller::apps::arp_proxy::ROUTE_PRIORITY;
         use openflow::{Action, Instruction, Match};
         let mut net = Network::new(11);
-        let ctrl = net.add_node(ControllerNode::new(
-            "ctrl",
-            vec![Box::new(ArpProxy::new()), Box::new(LearningSwitch::new())],
-        ));
-        let mut fx = FabricSpec::new(3, HarmlessSpec::new(2))
-            .with_interconnect(Interconnect::SpineSoft)
-            .with_arp_proxy(true)
-            .build(&mut net)
-            .unwrap();
-        fx.configure_direct(&mut net);
+        let (ctrl, mut fx) = proxy_fabric(&mut net, 3);
         fx.connect_controller(&mut net, ctrl);
         let a = fx.attach_host(&mut net, 0, 1).unwrap();
         let b = fx.attach_host(&mut net, 1, 1).unwrap();
@@ -2202,16 +2135,7 @@ mod tests {
     #[test]
     fn detach_host_retracts_routes_and_frees_the_port() {
         let mut net = Network::new(4);
-        let ctrl = net.add_node(ControllerNode::new(
-            "ctrl",
-            vec![Box::new(ArpProxy::new()), Box::new(LearningSwitch::new())],
-        ));
-        let mut fx = FabricSpec::new(2, HarmlessSpec::new(2))
-            .with_interconnect(Interconnect::SpineSoft)
-            .with_arp_proxy(true)
-            .build(&mut net)
-            .unwrap();
-        fx.configure_direct(&mut net);
+        let (ctrl, mut fx) = proxy_fabric(&mut net, 2);
         fx.connect_controller(&mut net, ctrl);
         let a = fx.attach_host(&mut net, 0, 1).unwrap();
         let _b = fx.attach_host(&mut net, 1, 1).unwrap();
@@ -2250,6 +2174,78 @@ mod tests {
         net.run_until(SimTime::from_millis(1500));
         assert_eq!(net.node_ref::<Host>(a).echo_replies_received(), 2);
         assert_eq!(net.node_ref::<Host>(b2).echo_requests_answered(), 2);
+    }
+
+    /// An ARP-proxy fabric of `n_pods` two-port pods on a soft spine,
+    /// configured, with its (not yet connected) controller.
+    fn proxy_fabric(net: &mut Network, n_pods: u16) -> (NodeId, Fabric) {
+        let ctrl = net.add_node(ControllerNode::new(
+            "ctrl",
+            vec![Box::new(ArpProxy::new()), Box::new(LearningSwitch::new())],
+        ));
+        let fx = FabricSpec::new(n_pods, HarmlessSpec::new(2))
+            .with_interconnect(Interconnect::SpineSoft)
+            .with_arp_proxy(true)
+            .build(net)
+            .unwrap();
+        fx.configure_direct(net);
+        (ctrl, fx)
+    }
+
+    /// Software datapaths holding a proactive route toward the station
+    /// on `at`, and the proxy's answer for its IP.
+    fn proxied(
+        net: &mut Network,
+        fx: &Fabric,
+        ctrl: NodeId,
+        at: (usize, u16),
+    ) -> (usize, Option<MacAddr>) {
+        use controller::apps::arp_proxy::ROUTE_PRIORITY;
+        let route = Match::new().eth_dst(fx.host_mac(at.0, at.1));
+        let mut switches: Vec<NodeId> = fx.pods().map(|p| p.ss2).collect();
+        switches.extend(fx.spine().map(|s| s.node()));
+        let routes_it = |&&n: &&NodeId| {
+            let table = net.node_ref::<SoftSwitchNode>(n).datapath().table(0);
+            let mut entries = table.unwrap().entries().iter();
+            entries.any(|e| e.priority == ROUTE_PRIORITY && e.match_ == route)
+        };
+        let routing = switches.iter().filter(routes_it).count();
+        let proxy = net.node_mut::<ControllerNode>(ctrl).app_mut::<ArpProxy>();
+        (routing, proxy.unwrap().lookup(fx.host_ip(at.0, at.1)))
+    }
+
+    #[test]
+    fn detaching_a_station_retracts_its_proxy_entry() {
+        let mut net = Network::new(4);
+        let (ctrl, mut fx) = proxy_fabric(&mut net, 2);
+        fx.connect_controller(&mut net, ctrl);
+        let sink = net.add_node(Sink::new("sink"));
+        fx.attach_station(&mut net, 1, 1, sink).unwrap();
+        net.run_until(SimTime::from_millis(100));
+        let mac = fx.host_mac(1, 1);
+        assert_eq!(proxied(&mut net, &fx, ctrl, (1, 1)), (3, Some(mac)));
+        fx.detach_host(&mut net, 1, 1).unwrap();
+        net.run_until(SimTime::from_millis(200));
+        assert_eq!(
+            proxied(&mut net, &fx, ctrl, (1, 1)),
+            (0, None),
+            "a detached station's IP stops resolving, its routes are retracted"
+        );
+    }
+
+    #[test]
+    fn station_attached_before_the_controller_resolves() {
+        let mut net = Network::new(4);
+        let (ctrl, mut fx) = proxy_fabric(&mut net, 2);
+        let sink = net.add_node(Sink::new("sink"));
+        fx.attach_station(&mut net, 1, 1, sink).unwrap();
+        fx.connect_controller(&mut net, ctrl);
+        net.run_until(SimTime::from_millis(100));
+        assert_eq!(
+            proxied(&mut net, &fx, ctrl, (1, 1)),
+            (3, Some(fx.host_mac(1, 1))),
+            "every datapath routes toward the early station"
+        );
     }
 
     /// A controller for routed fabrics: proxy answers who-has, router
@@ -2535,11 +2531,10 @@ mod tests {
         // a classic transient routing loop, made permanent.
         let phantom = Ipv4Addr::new(10, 99, 0, 1);
         {
-            let c = net.node_mut::<ControllerNode>(ctrl);
-            let r = c.app_mut::<Router>().unwrap();
+            let mut routes = fx.routes.as_ref().unwrap().borrow_mut();
             for (p, q) in [(0usize, 1usize), (1, 0)] {
                 let dpid = fx.pod(p).spec.ss2_dpid;
-                let mut cfg = r.config(dpid).unwrap().clone();
+                let mut cfg = routes.get(dpid).unwrap().clone();
                 let (out_port, next_hop) = fx.l3_next_hop(p, q);
                 cfg.routes.push(PrefixRoute {
                     prefix: Ipv4Addr::new(10, 99, 0, 0),
@@ -2548,18 +2543,18 @@ mod tests {
                     next_hop,
                     nat: None,
                 });
-                r.set_config(dpid, cfg);
+                routes.upsert(cfg);
             }
             // The proxy must answer who-has for the phantom or the ping
             // never leaves the host.
-            c.app_mut::<ArpProxy>().unwrap().add_host(HostRoute {
+            fx.hosts.as_ref().unwrap().borrow_mut().upsert(HostRoute {
                 ip: phantom,
                 mac: netpkt::MacAddr::host(0xbeef),
                 ports: Vec::new(),
                 guards: Vec::new(),
             });
         }
-        fx.sync_router_now(&mut net);
+        fx.sync_now::<Router>(&mut net);
         net.run_until(SimTime::from_millis(200));
         net.with_node_ctx::<Host, _>(a, move |h, ctx| {
             h.ping(b"looped", phantom);

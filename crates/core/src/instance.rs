@@ -133,12 +133,6 @@ impl HarmlessSpec {
         self
     }
 
-    /// Builder-style trunk link override.
-    pub fn with_trunk_link(mut self, l: LinkSpec) -> Self {
-        self.trunk_link = l;
-        self
-    }
-
     /// Builder-style access link override.
     pub fn with_access_link(mut self, l: LinkSpec) -> Self {
         self.access_link = l;

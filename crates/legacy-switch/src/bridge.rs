@@ -148,11 +148,6 @@ impl Bridge {
         self.fdb.len()
     }
 
-    /// The learned port for `(vlan, mac)`, if any.
-    pub fn fdb_lookup(&self, vlan: u16, mac: MacAddr) -> Option<u16> {
-        self.fdb.get(&(vlan, mac)).map(|e| e.port)
-    }
-
     /// Set the MAC aging time.
     pub fn set_aging_ns(&mut self, ns: u64) {
         self.aging_ns = ns;
@@ -256,11 +251,6 @@ impl Bridge {
         self.fdb
             .retain(|_, e| now_ns.saturating_sub(e.learned_ns) < aging);
         before - self.fdb.len()
-    }
-
-    /// Flush the entire FDB (topology change).
-    pub fn flush_fdb(&mut self) {
-        self.fdb.clear();
     }
 
     /// The 802.1Q forwarding process for one received frame.

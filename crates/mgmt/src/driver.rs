@@ -267,11 +267,6 @@ impl Driver {
             None => Vec::new(),
         }
     }
-
-    /// Discard the candidate without applying.
-    pub fn discard_candidate(&mut self) {
-        self.candidate = None;
-    }
 }
 
 #[cfg(test)]

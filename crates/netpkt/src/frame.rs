@@ -100,11 +100,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> EthernetFrame<T> {
     pub fn set_ethertype(&mut self, ty: EtherType) {
         self.buffer.as_mut()[field::ETHERTYPE].copy_from_slice(&ty.0.to_be_bytes());
     }
-
-    /// Mutable access to the payload.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[field::PAYLOAD]
-    }
 }
 
 /// Owned, validated summary of an Ethernet header.

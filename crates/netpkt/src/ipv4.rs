@@ -99,11 +99,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         self.buffer.as_ref()[field::DSCP_ECN] >> 2
     }
 
-    /// ECN (bottom 2 bits of the ToS byte).
-    pub fn ecn(&self) -> u8 {
-        self.buffer.as_ref()[field::DSCP_ECN] & 0x03
-    }
-
     /// Total length field (header + payload).
     pub fn total_len(&self) -> u16 {
         let b = self.buffer.as_ref();

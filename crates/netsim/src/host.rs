@@ -138,11 +138,6 @@ impl Host {
         &self.arp_table
     }
 
-    /// Sends still waiting for ARP resolution.
-    pub fn pending_sends(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Queue an ICMP echo request to `dst_ip` (resolving ARP first if
     /// needed). Effective on the next simulation event; typically called
     /// through [`crate::Network::with_node_ctx`].

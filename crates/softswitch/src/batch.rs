@@ -181,16 +181,6 @@ impl BatchResult {
         &self.packet_ins[f.pi_start as usize..f.pi_end as usize]
     }
 
-    /// All outputs of the batch, in emission order.
-    pub fn all_outputs(&self) -> &[(u32, Bytes)] {
-        &self.outputs
-    }
-
-    /// All packet-ins of the batch, in emission order.
-    pub fn all_packet_ins(&self) -> &[(PacketInReason, u32, Bytes)] {
-        &self.packet_ins
-    }
-
     /// Output frames grouped per egress port, in emission order. The
     /// `Bytes` handles are reference-counted, so grouping does not copy
     /// payloads.

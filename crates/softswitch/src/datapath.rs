@@ -144,18 +144,6 @@ impl DpConfig {
         self.mode = mode;
         self
     }
-
-    /// Builder-style table count override.
-    pub fn with_tables(mut self, n: u8) -> Self {
-        self.n_tables = n;
-        self
-    }
-
-    /// Builder-style table capacity override (TCAM modelling).
-    pub fn with_table_capacity(mut self, cap: usize) -> Self {
-        self.table_capacity = cap;
-        self
-    }
 }
 
 /// One switch port.
@@ -515,16 +503,6 @@ impl Datapath {
     /// Table accessor (stats, tests).
     pub fn table(&self, id: u8) -> Option<&FlowTable> {
         self.tables.get(usize::from(id))
-    }
-
-    /// Group table accessor.
-    pub fn group_table(&self) -> &GroupTable {
-        &self.groups
-    }
-
-    /// Meter table accessor.
-    pub fn meter_table(&self) -> &MeterTable {
-        &self.meters
     }
 
     /// Microflow cache stats accessor.

@@ -76,11 +76,6 @@ pub fn admin_set_controller(controller: NodeId) -> Bytes {
     admin_msg(ADMIN_SET_CONTROLLER, controller)
 }
 
-/// Build an add-backup-controller admin message.
-pub fn admin_add_backup(controller: NodeId) -> Bytes {
-    admin_msg(ADMIN_ADD_BACKUP, controller)
-}
-
 /// How often the switch sweeps for expired flows.
 const EXPIRE_PERIOD: SimTime = SimTime::from_millis(500);
 
