@@ -38,7 +38,7 @@ fn acl_dp(mode: PipelineMode, n_rules: u32) -> Datapath {
     dp.add_port(2, "p2", 10_000_000);
     for i in 0..n_rules {
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(10)
                 .match_(
                     Match::new()
@@ -123,7 +123,7 @@ fn bench_translator_paths(c: &mut Criterion) {
         );
     }
     for fm in harmless::translator::translator_rules(&map, 1) {
-        dp.apply_flow_mod(&fm, 0).unwrap();
+        dp.apply_flow_mod(fm, 0).unwrap();
     }
     let mut g = c.benchmark_group("translator");
     g.throughput(Throughput::Elements(1));

@@ -50,7 +50,7 @@ fn acl_dp(mode: PipelineMode, n_rules: u32) -> Datapath {
     dp.add_port(2, "p2", 10_000_000);
     for i in 0..n_rules {
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(10)
                 .match_(
                     Match::new()

@@ -1,15 +1,15 @@
 //! Flow-table and cache microbenchmarks: the raw lookup structures under
 //! the datapath (complements `datapath.rs`, which measures the composed
-//! pipeline).
+//! pipeline), and the cost of installing into a large table.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use std::time::Duration;
+use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use std::time::{Duration, Instant};
 
+use bench::report;
 use netpkt::{builder, FlowKey, MacAddr};
 use openflow::table::{FlowEntry, FlowTable, TableId};
 use openflow::{Action, Instruction, Match};
 use softswitch::cache::{CachedPath, MegaflowCache, MicroflowCache};
-use softswitch::tss::TssIndex;
 
 fn key(src: u32, dst_port: u16) -> FlowKey {
     let f = builder::udp_packet(
@@ -58,23 +58,95 @@ fn bench_tss_lookup(c: &mut Criterion) {
     let mut g = c.benchmark_group("tss_lookup");
     g.throughput(Throughput::Elements(1));
     for n in [16u32, 256, 4096] {
-        let t = table_with(n);
-        let idx = TssIndex::build(&t);
+        let mut t = table_with(n);
         let k = key(1, (n - 1) as u16);
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(idx.lookup(&k)))
+            b.iter(|| std::hint::black_box(t.lookup_indexed(&k)))
         });
     }
     g.finish();
-    // Index construction cost (amortized over rule changes).
-    let mut g = c.benchmark_group("tss_build");
-    for n in [256u32, 4096] {
-        let t = table_with(n);
+}
+
+/// Table sizes of the install benchmark.
+const INSTALL_SIZES: [u32; 3] = [1024, 8192, 65536];
+
+/// The `i`-th proactive host route, shaped like the ARP proxy's:
+/// exact destination MAC at one priority.
+fn route(i: u32) -> FlowEntry {
+    FlowEntry::new(
+        20,
+        Match::new().eth_dst(MacAddr::host(i)),
+        Instruction::apply(vec![Action::output(1 + i % 8)]),
+        0,
+    )
+}
+
+/// A table-miss entry plus `n` host routes.
+fn routes_table(n: u32) -> FlowTable {
+    let mut t = FlowTable::new(TableId(0));
+    t.add(FlowEntry::new(
+        0,
+        Match::any(),
+        Instruction::apply(vec![Action::to_controller()]),
+        0,
+    ))
+    .unwrap();
+    for i in 0..n {
+        t.add(route(i)).unwrap();
+    }
+    t
+}
+
+/// One install of a fresh route into a table of N routes and the strict
+/// delete that takes it out again, so every iteration sees N entries.
+fn bench_install(c: &mut Criterion) {
+    let mut g = c.benchmark_group("flowtable_install");
+    g.throughput(Throughput::Elements(2));
+    for n in INSTALL_SIZES {
+        let mut t = routes_table(n);
+        let fresh = route(n);
+        let m = fresh.match_.clone();
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(TssIndex::build(&t)))
+            b.iter(|| {
+                t.add(fresh.clone()).unwrap();
+                let gone = t.delete(
+                    &m,
+                    20,
+                    true,
+                    openflow::port_no::ANY,
+                    openflow::group_no::ANY,
+                );
+                std::hint::black_box(gone);
+            })
         });
     }
     g.finish();
+}
+
+/// Median ns per add of a fresh route into a table of `n` routes: each
+/// sample times a batch of 64 adds, then (untimed) strict-deletes them
+/// again, so every sample starts from the same `n` entries.
+fn ns_per_add(n: u32) -> f64 {
+    const BATCH: u32 = 64;
+    let mut t = routes_table(n);
+    let batch: Vec<FlowEntry> = (n..n + BATCH).map(route).collect();
+    let mut samples: Vec<f64> = (0..201)
+        .map(|_| {
+            let adds = batch.clone();
+            let t0 = Instant::now();
+            for e in adds {
+                t.add(e).unwrap();
+            }
+            let ns = t0.elapsed().as_nanos() as f64 / f64::from(BATCH);
+            for e in &batch {
+                let any = openflow::port_no::ANY;
+                t.delete(&e.match_, 20, true, any, openflow::group_no::ANY);
+            }
+            ns
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 fn bench_caches(c: &mut Criterion) {
@@ -126,6 +198,21 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_linear_lookup, bench_tss_lookup, bench_caches
+    targets = bench_linear_lookup, bench_tss_lookup, bench_install, bench_caches
 }
-criterion_main!(benches);
+
+fn main() {
+    benches();
+    // Per-add install cost by table size into the trajectory file: with
+    // sub-linear adds it stays flat across sizes.
+    let mut rep = report::Report::new();
+    for n in INSTALL_SIZES {
+        let ns = ns_per_add(n);
+        println!("flowtable_install/{n}: {ns:.1} ns/add");
+        rep.record(
+            &format!("tables/flowtable_install/{n}"),
+            &[("ns_per_add", ns)],
+        );
+    }
+    report::publish(&rep);
+}

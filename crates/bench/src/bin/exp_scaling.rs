@@ -134,7 +134,7 @@ fn throughput_with_rules(n_rules: u32, mode: PipelineMode) -> f64 {
     {
         let dp = sw.datapath_mut();
         for i in 0..n_rules {
-            dp.apply_flow_mod(&acl_rule(i), 0).unwrap();
+            dp.apply_flow_mod(acl_rule(i), 0).unwrap();
         }
     }
     let sw = net.add_node(sw);

@@ -38,7 +38,7 @@ fn run(pairs: u16, n_trunks: u16, frame_len: usize) -> (f64, f64) {
             let (a, b) = (u32::from(p), u32::from(p + pairs));
             for (x, y) in [(a, b), (b, a)] {
                 dp.apply_flow_mod(
-                    &FlowMod::add(0)
+                    FlowMod::add(0)
                         .priority(10)
                         .match_(Match::new().in_port(x))
                         .apply(vec![Action::output(y)]),

@@ -142,7 +142,7 @@ impl ForwardingResult {
 fn wire_datapath(dp: &mut softswitch::Datapath) {
     for (a, b) in [(1u32, 2u32), (2, 1)] {
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(10)
                 .match_(Match::new().in_port(a))
                 .apply(vec![Action::output(b)]),
@@ -198,8 +198,8 @@ pub fn forwarding_trial(system: System, spec: TrialSpec) -> ForwardingResult {
                     let r12 = hx.merged_wiring_rule(1, 2);
                     let r21 = hx.merged_wiring_rule(2, 1);
                     let dp = net.node_mut::<SoftSwitchNode>(hx.ss2).datapath_mut();
-                    dp.apply_flow_mod(&r12, 0).unwrap();
-                    dp.apply_flow_mod(&r21, 0).unwrap();
+                    dp.apply_flow_mod(r12, 0).unwrap();
+                    dp.apply_flow_mod(r21, 0).unwrap();
                 }
             }
             let g = net.add_node(gen_node);

@@ -3,12 +3,14 @@
 //! Experiment binaries and benches record `(scenario, numeric fields)`
 //! rows so future PRs can diff performance without parsing stdout
 //! tables. The file is plain JSON — one object whose keys are scenario
-//! ids and whose values are flat objects of `f64` fields:
+//! ids and whose values are flat objects of `f64` fields, plus the
+//! host fingerprint [`publish`] stamps on every row it writes (CPU
+//! count, CPU model, git revision), since numbers from different hosts
+//! do not compare:
 //!
 //! ```json
 //! {
-//!   "netloop/fabric_4x16/single_queue": {"events": 814218.0, "events_per_sec": 5220130.0, "wall_s": 0.156},
-//!   "scaling/fabric_4x512/single_queue": {"events": 9361472.0, "wall_s": 7.8}
+//!   "netloop/fabric_4x16/single_queue": {"events": 814218.0, "events_per_sec": 5220130.0, "host_cpu": "AMD EPYC", "host_nproc": 2.0, "host_rev": "ea40496", "wall_s": 0.156}
 //! }
 //! ```
 //!
@@ -35,11 +37,12 @@ fn find_bench_file(dir: &Path) -> Option<PathBuf> {
         .find(|p| p.is_file())
 }
 
-/// Merge `rows` into the [`BENCH_FILE`] in the working directory or its
-/// nearest ancestor that has one, replacing rows with the same scenario
-/// id, and return the path written. Without such a file the rows are
-/// printed to stderr and nothing is written, so a binary never records
-/// into a checkout other than the one it runs in.
+/// Merge `rows`, stamped with the host fingerprint, into the
+/// [`BENCH_FILE`] in the working directory or its nearest ancestor that
+/// has one, replacing rows with the same scenario id, and return the
+/// path written. Without such a file the rows are printed to stderr and
+/// nothing is written, so a binary never records into a checkout other
+/// than the one it runs in.
 pub fn publish(rows: &Report) -> Option<PathBuf> {
     let dir = std::env::current_dir().unwrap_or_default();
     publish_from(&dir, rows)
@@ -54,9 +57,13 @@ fn publish_from(dir: &Path, rows: &Report) -> Option<PathBuf> {
         );
         return None;
     };
+    let host = host(path.parent().unwrap_or(dir));
     let mut rep = Report::load(&path);
-    rep.entries
-        .extend(rows.entries.iter().map(|(k, v)| (k.clone(), v.clone())));
+    for (scenario, fields) in &rows.entries {
+        let mut fields = fields.clone();
+        fields.extend(host.iter().map(|(k, v)| (k.to_string(), v.clone())));
+        rep.entries.insert(scenario.clone(), fields);
+    }
     match rep.save(&path) {
         Ok(()) => Some(path),
         Err(e) => {
@@ -66,10 +73,69 @@ fn publish_from(dir: &Path, rows: &Report) -> Option<PathBuf> {
     }
 }
 
-/// An ordered set of scenario rows, each a flat map of numeric fields.
+/// Where a row was measured: CPU count, CPU model (from
+/// `/proc/cpuinfo`) and the git revision of the checkout at `root`
+/// (asked only when `root` holds `.git`, so git never searches the
+/// directories above it). Unknown parts read `"unknown"`.
+fn host(root: &Path) -> [(&'static str, Field); 3] {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|s| {
+        s.lines()
+            .find_map(|l| l.strip_prefix("model name"))
+            .map(|v| v.trim_start_matches([' ', '\t', ':']).trim().to_string())
+    });
+    let rev = root
+        .join(".git")
+        .exists()
+        .then(|| {
+            std::process::Command::new("git")
+                .arg("-C")
+                .arg(root)
+                .args(["--no-optional-locks", "rev-parse", "--short", "HEAD"])
+                .output()
+                .ok()
+        })
+        .flatten()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
+    let text = |v: Option<String>| Field::Text(v.unwrap_or_else(|| "unknown".into()));
+    [
+        ("host_nproc", Field::Num(nproc as f64)),
+        ("host_cpu", text(cpu)),
+        ("host_rev", text(rev)),
+    ]
+}
+
+/// One field of a row: a measurement, or a label such as the CPU model.
+#[derive(Debug, Clone, PartialEq)]
+enum Field {
+    Num(f64),
+    Text(String),
+}
+
+impl Field {
+    /// The field's JSON rendering. Labels lose the characters the
+    /// line-oriented reader splits on.
+    fn render(&self) -> String {
+        match self {
+            Field::Num(v) => fmt_f64(*v),
+            Field::Text(t) => format!("\"{}\"", t.replace(['"', '\\', ','], " ")),
+        }
+    }
+
+    /// Parse a rendering of [`Field::render`].
+    fn parse(v: &str) -> Option<Field> {
+        match v.strip_prefix('"').and_then(|v| v.strip_suffix('"')) {
+            Some(t) => Some(Field::Text(t.to_string())),
+            None => v.parse().ok().map(Field::Num),
+        }
+    }
+}
+
+/// An ordered set of scenario rows, each a flat map of fields.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct Report {
-    entries: BTreeMap<String, BTreeMap<String, f64>>,
+    entries: BTreeMap<String, BTreeMap<String, Field>>,
 }
 
 impl Report {
@@ -107,7 +173,7 @@ impl Report {
                     continue;
                 };
                 let k = k.trim().trim_matches('"');
-                if let Ok(v) = v.trim().parse::<f64>() {
+                if let Some(v) = Field::parse(v.trim()) {
                     fields.insert(k.to_string(), v);
                 }
             }
@@ -122,14 +188,17 @@ impl Report {
     pub fn record(&mut self, scenario: &str, fields: &[(&str, f64)]) {
         let row = fields
             .iter()
-            .map(|(k, v)| (k.to_string(), *v))
+            .map(|(k, v)| (k.to_string(), Field::Num(*v)))
             .collect::<BTreeMap<_, _>>();
         self.entries.insert(scenario.to_string(), row);
     }
 
-    /// One field of one scenario, if recorded.
+    /// One numeric field of one scenario, if recorded.
     pub fn get(&self, scenario: &str, field: &str) -> Option<f64> {
-        self.entries.get(scenario)?.get(field).copied()
+        match self.entries.get(scenario)?.get(field)? {
+            Field::Num(v) => Some(*v),
+            Field::Text(_) => None,
+        }
     }
 
     /// Number of scenario rows.
@@ -151,7 +220,7 @@ impl Report {
             .map(|(name, fields)| {
                 let inner: Vec<String> = fields
                     .iter()
-                    .map(|(k, v)| format!("\"{k}\": {}", fmt_f64(*v)))
+                    .map(|(k, v)| format!("\"{k}\": {}", v.render()))
                     .collect();
                 format!("  \"{name}\": {{{}}}", inner.join(", "))
             })
@@ -198,6 +267,21 @@ mod tests {
         assert_eq!(back, r);
         assert_eq!(back.get("netloop/x", "events_per_sec"), Some(1.25e6));
         assert_eq!(back.len(), 2);
+    }
+
+    #[test]
+    fn host_labels_round_trip() {
+        let mut r = Report::new();
+        r.record("a", &[("x", 1.0)]);
+        let row = r.entries.get_mut("a").unwrap();
+        row.extend(host(Path::new(".")).map(|(k, v)| (k.to_string(), v)));
+        row.insert("odd".into(), Field::Text("A, \"B\" C".into()));
+        let back = Report::parse(&r.render());
+        assert_eq!(back.get("a", "x"), Some(1.0));
+        assert!(back.get("a", "host_nproc").is_some_and(|n| n >= 1.0));
+        assert!(matches!(back.entries["a"]["host_cpu"], Field::Text(_)));
+        assert_eq!(back.entries["a"]["odd"], Field::Text("A   B  C".into()));
+        assert_eq!(Report::parse(&back.render()), back);
     }
 
     #[test]
@@ -281,6 +365,14 @@ mod tests {
         let back = Report::load(&file);
         assert_eq!(back.get("a", "x"), Some(3.0));
         assert_eq!(back.get("b", "x"), Some(2.0));
+        assert!(
+            back.get("a", "host_nproc").is_some(),
+            "written rows carry the host"
+        );
+        assert!(
+            back.get("b", "host_nproc").is_none(),
+            "other rows are kept as they were"
+        );
 
         let elsewhere = tree.0.join("elsewhere");
         if find_bench_file(&elsewhere).is_none() {

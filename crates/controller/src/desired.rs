@@ -400,7 +400,7 @@ mod tests {
                 mods.is_empty() || matches!(msgs.last(), Some(Message::BarrierRequest)),
                 "a sync that sends flow-mods ends with a barrier"
             );
-            for fm in &mods {
+            for fm in mods {
                 dps[i].0.apply_flow_mod(fm, 0).expect("valid flow-mod");
             }
             let mut want = fresh(dpid);
@@ -412,7 +412,7 @@ mod tests {
                 .filter(|g| g.touches(dpid))
             {
                 for fm in flow_mods(&sent(dpid, |sw| g.install(sw))) {
-                    want.apply_flow_mod(&fm, 0).expect("valid flow-mod");
+                    want.apply_flow_mod(fm, 0).expect("valid flow-mod");
                 }
             }
             prop_assert_eq!(tables(&dps[i].0), tables(&want), "dpid {}", dpid);

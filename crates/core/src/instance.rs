@@ -326,7 +326,7 @@ impl HarmlessInstance {
             (Variant::TwoSwitch, Some(ss1)) => {
                 let rules = translator::translator_rules(&self.map, self.spec.n_trunks);
                 let dp = net.node_mut::<SoftSwitchNode>(ss1).datapath_mut();
-                for fm in &rules {
+                for fm in rules {
                     dp.apply_flow_mod(fm, 0)
                         .expect("translator rules are valid");
                 }
@@ -336,7 +336,7 @@ impl HarmlessInstance {
                 for (port, vlan) in self.map.iter() {
                     for tr in 1..=self.spec.n_trunks {
                         dp.apply_flow_mod(
-                            &FlowMod::add(0)
+                            FlowMod::add(0)
                                 .priority(100)
                                 .match_(Match::new().in_port(u32::from(tr)).vlan(vlan))
                                 .instructions(vec![
@@ -499,8 +499,8 @@ mod tests {
         // Wire 1 -> 2 and 2 -> 1 in the merged pipeline.
         {
             let dp = net.node_mut::<SoftSwitchNode>(hx.ss2).datapath_mut();
-            dp.apply_flow_mod(&hx.merged_wiring_rule(1, 2), 0).unwrap();
-            dp.apply_flow_mod(&hx.merged_wiring_rule(2, 1), 0).unwrap();
+            dp.apply_flow_mod(hx.merged_wiring_rule(1, 2), 0).unwrap();
+            dp.apply_flow_mod(hx.merged_wiring_rule(2, 1), 0).unwrap();
         }
         let a = hx.attach_host(&mut net, 1);
         let b = hx.attach_host(&mut net, 2);

@@ -98,7 +98,7 @@ mod tests {
             dp.add_port(patch_port(p), format!("patch{p}"), 10_000_000);
         }
         for fm in translator_rules(&map, 1) {
-            dp.apply_flow_mod(&fm, 0).unwrap();
+            dp.apply_flow_mod(fm, 0).unwrap();
         }
         dp
     }
@@ -176,7 +176,7 @@ mod tests {
         for p in 1..=8 {
             dp.add_port(patch_port(p), format!("patch{p}"), 10_000_000);
         }
-        for fm in &rules {
+        for fm in rules {
             dp.apply_flow_mod(fm, 0).unwrap();
         }
         let mut trunks_used = std::collections::HashSet::new();

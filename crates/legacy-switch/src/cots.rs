@@ -305,7 +305,7 @@ mod tests {
         let mut sw = CotsSwitchNode::new("cots", 4, CotsConfig::default());
         sw.datapath_mut()
             .apply_flow_mod(
-                &FlowMod::add(0)
+                FlowMod::add(0)
                     .priority(1)
                     .match_(Match::new().in_port(1))
                     .apply(vec![Action::output(2)]),
@@ -351,7 +351,7 @@ mod tests {
         for i in 0..10u16 {
             sw.datapath_mut()
                 .apply_flow_mod(
-                    &FlowMod::add(0)
+                    FlowMod::add(0)
                         .priority(10)
                         .match_(Match::new().eth_type(0x0800).ip_proto(17).udp_dst(i))
                         .apply(vec![Action::output(2)]),
@@ -362,7 +362,7 @@ mod tests {
         let err = sw
             .datapath_mut()
             .apply_flow_mod(
-                &FlowMod::add(0)
+                FlowMod::add(0)
                     .priority(10)
                     .match_(Match::new().eth_type(0x0800).ip_proto(17).udp_dst(999))
                     .apply(vec![Action::output(2)]),

@@ -156,7 +156,8 @@ impl Instruction {
             return Err(Error::Truncated);
         }
         let mut body = &buf[..len];
-        let mut out = Vec::new();
+        let tlv_len = |h: &[u8]| usize::from(u16::from_be_bytes([h[2], h[3]]));
+        let mut out = Vec::with_capacity(crate::tlv_count(body, tlv_len));
         while !body.is_empty() {
             out.push(Instruction::decode(&mut body)?);
         }

@@ -32,6 +32,7 @@ pub mod message;
 pub mod meter;
 pub mod oxm;
 pub mod table;
+mod tss;
 
 pub use action::{Action, NatDir};
 pub use group::{Bucket, Group, GroupTable, GroupType};
@@ -76,6 +77,20 @@ pub mod group_no {
 
 /// The buffer id meaning "packet not buffered".
 pub const NO_BUFFER: u32 = 0xffff_ffff;
+
+/// Number of TLVs in `body`, read from their headers alone, so a decoded
+/// list can be sized exactly: flow entries keep their match and
+/// instruction lists for life, and spare capacity there is memory held
+/// per rule. `tlv_len` gives a TLV's total length from its (4-byte)
+/// header. A malformed length only skews the count; decoding reports it.
+pub(crate) fn tlv_count(mut body: &[u8], tlv_len: impl Fn(&[u8]) -> usize) -> usize {
+    let mut n = 0;
+    while body.len() >= 4 {
+        n += 1;
+        body = &body[tlv_len(body).clamp(4, body.len())..];
+    }
+    n
+}
 
 /// Errors from the codec and table layers.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -665,7 +665,7 @@ impl Match {
             return Err(Error::Truncated);
         }
         let mut body = &buf[..body_len];
-        let mut fields = Vec::new();
+        let mut fields = Vec::with_capacity(crate::tlv_count(body, |h| 4 + usize::from(h[3])));
         while !body.is_empty() {
             fields.push(OxmField::decode(&mut body)?);
         }

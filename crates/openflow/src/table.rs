@@ -1,12 +1,24 @@
 //! Flow-table semantics per OpenFlow 1.3 §5.2–5.5 and §6.4: priority
 //! ordering, overlap checking, strict/non-strict modify/delete, idle and
 //! hard timeouts, and per-entry counters.
+//!
+//! Finding what a mutation touches is sub-linear, except where every
+//! entry must be visited (non-strict modify/delete, expiry): the table
+//! keeps a tuple-space index (one hash map per distinct mask) in step
+//! with its entries, which finds the identical match an `ADD` replaces
+//! or a strict command selects and serves the indexed packet lookup,
+//! and insert positions come from a binary search on priority. What
+//! remains linear is the slice shift of an insert or removal, which
+//! moves only the entries behind it.
+
+use std::ops::Range;
 
 use netpkt::flowkey::FieldMask;
 use netpkt::FlowKey;
 
 use crate::instruction::Instruction;
 use crate::oxm::Match;
+use crate::tss::{self, TupleSpace};
 use crate::{Error, Result};
 
 /// A table number within a pipeline.
@@ -118,6 +130,9 @@ pub struct FlowEntry {
     pub installed_ns: u64,
     /// Last hit time (ns).
     pub last_used_ns: u64,
+    /// Install sequence number in its table, assigned by the table;
+    /// orders entries of equal priority.
+    seq: u64,
 }
 
 impl FlowEntry {
@@ -143,6 +158,25 @@ impl FlowEntry {
             bytes: 0,
             installed_ns: now_ns,
             last_used_ns: now_ns,
+            seq: 0,
+        }
+    }
+
+    /// Position key in the table's priority order.
+    pub(crate) fn rank(&self) -> u64 {
+        tss::rank(self.priority, self.seq)
+    }
+
+    /// The timeout that has removed this entry by `now_ns`, if any.
+    fn expiry(&self, now_ns: u64) -> Option<RemovedReason> {
+        let due =
+            |from: u64, secs: u16| secs > 0 && now_ns >= from + u64::from(secs) * 1_000_000_000;
+        if due(self.installed_ns, self.hard_timeout) {
+            Some(RemovedReason::HardTimeout)
+        } else if due(self.last_used_ns, self.idle_timeout) {
+            Some(RemovedReason::IdleTimeout)
+        } else {
+            None
         }
     }
 
@@ -224,6 +258,10 @@ pub struct FlowTable {
     version: u64,
     lookups: u64,
     hits: u64,
+    /// Sequence number of the next inserted entry.
+    next_seq: u64,
+    /// Tuple-space index over `entries`, updated by every mutation.
+    index: TupleSpace,
 }
 
 impl FlowTable {
@@ -241,6 +279,8 @@ impl FlowTable {
             version: 0,
             lookups: 0,
             hits: 0,
+            next_seq: 0,
+            index: TupleSpace::default(),
         }
     }
 
@@ -281,18 +321,17 @@ impl FlowTable {
     }
 
     /// Install an entry per OF `ADD` semantics.
-    pub fn add(&mut self, entry: FlowEntry) -> Result<()> {
+    pub fn add(&mut self, mut entry: FlowEntry) -> Result<()> {
+        let priority = entry.priority;
         if entry.flags & flow_flags::CHECK_OVERLAP != 0 {
-            for e in &self.entries {
-                if e.priority == entry.priority && e.overlaps(&entry) {
-                    return Err(Error::Overlap);
-                }
+            let band = &self.entries[self.band(priority)];
+            if band.iter().any(|e| e.overlaps(&entry)) {
+                return Err(Error::Overlap);
             }
         }
         // Identical match + priority: replace in place (counters reset).
-        if let Some(pos) = self.entries.iter().position(|e| {
-            e.priority == entry.priority && e.key == entry.key && e.mask == entry.mask
-        }) {
+        if let Some(pos) = self.find(&entry.key, &entry.mask, priority) {
+            entry.seq = self.entries[pos].seq;
             self.entries[pos] = entry;
             self.version += 1;
             return Ok(());
@@ -300,15 +339,30 @@ impl FlowTable {
         if self.entries.len() >= self.capacity {
             return Err(Error::TableFull);
         }
+        assert!(
+            self.next_seq < tss::SEQ_LIMIT,
+            "install sequence overflows the rank"
+        );
+        entry.seq = self.next_seq;
+        self.next_seq += 1;
+        self.index.insert(&entry.mask, &entry.key, entry.rank());
         // Insert after the last entry with priority >= new (stable order).
-        let pos = self
-            .entries
-            .iter()
-            .position(|e| e.priority < entry.priority)
-            .unwrap_or(self.entries.len());
+        let pos = self.band(priority).end;
         self.entries.insert(pos, entry);
         self.version += 1;
         Ok(())
+    }
+
+    /// Slice positions of the entries of `priority`.
+    fn band(&self, priority: u16) -> Range<usize> {
+        let start = self.entries.partition_point(|e| e.priority > priority);
+        let end = start + self.entries[start..].partition_point(|e| e.priority == priority);
+        start..end
+    }
+
+    /// Slice position of the entry exactly matching `(key, mask, priority)`.
+    fn find(&self, key: &FlowKey, mask: &FieldMask, priority: u16) -> Option<usize> {
+        self.index.find(&self.entries, mask, key, priority)
     }
 
     /// Modify instructions of matching entries; returns how many changed.
@@ -321,15 +375,17 @@ impl FlowTable {
     ) -> usize {
         let (fkey, fmask) = match_.to_key_mask();
         let mut changed = 0;
-        for e in &mut self.entries {
-            let selected = if strict {
-                e.priority == priority && e.key == fkey && e.mask == fmask
-            } else {
-                e.within_filter(&fkey, &fmask)
-            };
-            if selected {
-                e.instructions = instructions.to_vec();
-                changed += 1;
+        if strict {
+            if let Some(pos) = self.find(&fkey, &fmask, priority) {
+                self.entries[pos].instructions = instructions.to_vec();
+                changed = 1;
+            }
+        } else {
+            for e in &mut self.entries {
+                if e.within_filter(&fkey, &fmask) {
+                    e.instructions = instructions.to_vec();
+                    changed += 1;
+                }
             }
         }
         if changed > 0 {
@@ -350,46 +406,78 @@ impl FlowTable {
         out_group: u32,
     ) -> Vec<FlowEntry> {
         let (fkey, fmask) = match_.to_key_mask();
-        let mut removed = Vec::new();
-        self.entries.retain(|e| {
-            let selected = if strict {
-                e.priority == priority && e.key == fkey && e.mask == fmask
-            } else {
-                e.within_filter(&fkey, &fmask)
-            } && e.outputs_to(out_port)
-                && e.outputs_to_group(out_group);
-            if selected {
-                removed.push(e.clone());
+        let outputs = |e: &FlowEntry| e.outputs_to(out_port) && e.outputs_to_group(out_group);
+        let removed: Vec<FlowEntry> = if strict {
+            match self.find(&fkey, &fmask, priority) {
+                Some(pos) if outputs(&self.entries[pos]) => vec![self.entries.remove(pos)],
+                _ => Vec::new(),
             }
-            !selected
-        });
-        if !removed.is_empty() {
-            self.version += 1;
-        }
+        } else {
+            self.entries
+                .extract_if(.., |e| e.within_filter(&fkey, &fmask) && outputs(e))
+                .collect()
+        };
+        self.unindex(&removed);
         removed
     }
 
-    /// Highest-priority entry matching `pkt`, if any. Counters are *not*
-    /// bumped here; call [`FlowTable::hit`] with the returned index.
-    pub fn lookup(&mut self, pkt: &FlowKey) -> Option<usize> {
-        self.lookups += 1;
-        // Entries are priority-sorted, so the first match wins.
-        let idx = self.entries.iter().position(|e| e.matches(pkt))?;
-        self.hits += 1;
-        Some(idx)
+    /// Drop `removed` from the index; a non-empty removal bumps the
+    /// version.
+    fn unindex<'a>(&mut self, removed: impl IntoIterator<Item = &'a FlowEntry>) {
+        let mut any = false;
+        for e in removed {
+            self.index.remove(&e.mask, &e.key, e.rank());
+            any = true;
+        }
+        if any {
+            self.version += 1;
+        }
     }
 
-    /// Like [`FlowTable::lookup`] but also counts packets scanned before
+    /// Highest-priority entry matching `pkt`, if any, by a linear scan.
+    /// Counters are *not* bumped here; call [`FlowTable::hit`] with the
+    /// returned index.
+    pub fn lookup(&mut self, pkt: &FlowKey) -> Option<usize> {
+        self.lookup_counting(pkt).0
+    }
+
+    /// Like [`FlowTable::lookup`] but also counts entries scanned up to
     /// the hit, for cost modelling.
     pub fn lookup_counting(&mut self, pkt: &FlowKey) -> (Option<usize>, usize) {
         self.lookups += 1;
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.matches(pkt) {
+        // Entries are priority-sorted, so the first match wins.
+        match self.entries.iter().position(|e| e.matches(pkt)) {
+            Some(i) => {
                 self.hits += 1;
-                return (Some(i), i + 1);
+                (Some(i), i + 1)
             }
+            None => (None, self.entries.len()),
         }
-        (None, self.entries.len())
+    }
+
+    /// Look `pkt` up through the tuple-space index; returns `(entry
+    /// index, hash probes made)`. Counts the lookup like
+    /// [`FlowTable::lookup_counting`].
+    ///
+    /// Mask groups are probed by descending maximum priority (ties: the
+    /// group whose first entry at that priority was installed first)
+    /// until the best hit's priority reaches the next group's maximum.
+    /// The entry found is the scan's winner, except among overlapping
+    /// entries of one priority but different masks, where OpenFlow
+    /// leaves the choice undefined and the index takes the one in the
+    /// group probed first.
+    pub fn lookup_indexed(&mut self, pkt: &FlowKey) -> (Option<usize>, u32) {
+        self.lookups += 1;
+        let (idx, probes) = self.index.lookup(&self.entries, pkt);
+        if idx.is_some() {
+            self.hits += 1;
+        }
+        (idx, probes)
+    }
+
+    /// Union of the masks of all entries.
+    pub fn aggregate_mask(&self) -> FieldMask {
+        self.index.aggregate_mask()
     }
 
     /// Record a hit on entry `idx`.
@@ -407,26 +495,22 @@ impl FlowTable {
 
     /// Remove timed-out entries; returns them with their reasons.
     pub fn expire(&mut self, now_ns: u64) -> Vec<(FlowEntry, RemovedReason)> {
-        let mut out = Vec::new();
-        self.entries.retain(|e| {
-            if e.hard_timeout > 0
-                && now_ns >= e.installed_ns + u64::from(e.hard_timeout) * 1_000_000_000
-            {
-                out.push((e.clone(), RemovedReason::HardTimeout));
-                return false;
-            }
-            if e.idle_timeout > 0
-                && now_ns >= e.last_used_ns + u64::from(e.idle_timeout) * 1_000_000_000
-            {
-                out.push((e.clone(), RemovedReason::IdleTimeout));
-                return false;
-            }
-            true
-        });
-        if !out.is_empty() {
-            self.version += 1;
-        }
+        let out: Vec<(FlowEntry, RemovedReason)> = self
+            .entries
+            .extract_if(.., |e| e.expiry(now_ns).is_some())
+            .map(|e| {
+                let reason = e.expiry(now_ns).expect("extracted as expired");
+                (e, reason)
+            })
+            .collect();
+        self.unindex(out.iter().map(|(e, _)| e));
         out
+    }
+
+    /// The table's tuple-space index.
+    #[cfg(test)]
+    pub(crate) fn index(&self) -> &TupleSpace {
+        &self.index
     }
 }
 

@@ -252,7 +252,7 @@ impl OfAgent {
             Message::SetConfig { miss_send_len, .. } => {
                 self.miss_send_len = miss_send_len;
             }
-            Message::FlowMod(fm) => match dp.apply_flow_mod(&fm, now_ns) {
+            Message::FlowMod(fm) => match dp.apply_flow_mod(fm, now_ns) {
                 Ok(removed) => {
                     for (table_id, e) in removed {
                         if e.flags & openflow::table::flow_flags::SEND_FLOW_REM != 0 {

@@ -50,7 +50,6 @@ use crate::batch::{BatchMemo, BatchResult, FrameBatch};
 use crate::cache::{CachedPath, MegaflowCache, MicroflowCache};
 use crate::nat::{NatConfig, NatProto, NatTable};
 use crate::trace::{LookupPath, ProcessingTrace};
-use crate::tss::TssIndex;
 
 /// Which lookup machinery is active — the ablation axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,10 +179,8 @@ pub struct Datapath {
     groups: GroupTable,
     meters: MeterTable,
     /// Mutation epoch: bumped by any table/group/meter/port change;
-    /// flushes both caches and invalidates TSS indexes.
+    /// flushes both caches.
     epoch: u64,
-    tss: Vec<Option<TssIndex>>,
-    table_masks: Vec<(u64, FieldMask)>,
     micro: MicroflowCache,
     mega: MegaflowCache,
     /// Per-port counters, dense-indexed by port number so hot-path
@@ -311,8 +308,6 @@ impl Datapath {
         Datapath {
             micro: MicroflowCache::new(config.micro_capacity),
             mega: MegaflowCache::new(config.mega_capacity),
-            tss: (0..n).map(|_| None).collect(),
-            table_masks: (0..n).map(|_| (u64::MAX, FieldMask::default())).collect(),
             config,
             ports: BTreeMap::new(),
             tables,
@@ -346,7 +341,7 @@ impl Datapath {
     }
 
     /// Drop every piece of dataplane state a power cycle would lose:
-    /// all flow tables, groups, meters, TSS indexes and both caches.
+    /// all flow tables with their indexes, groups, meters and both caches.
     /// Ports (hardware) and their counters survive. The epoch is bumped
     /// so any cached path that somehow survived is invalidated.
     pub fn reset_tables(&mut self) {
@@ -356,8 +351,6 @@ impl Datapath {
             .collect();
         self.groups = GroupTable::new();
         self.meters = MeterTable::new();
-        self.tss = (0..n).map(|_| None).collect();
-        self.table_masks = (0..n).map(|_| (u64::MAX, FieldMask::default())).collect();
         self.micro = MicroflowCache::new(self.config.micro_capacity);
         self.mega = MegaflowCache::new(self.config.mega_capacity);
         self.epoch += 1;
@@ -563,7 +556,7 @@ impl Datapath {
 
     /// Apply a flow-mod; returns entries removed by delete commands (for
     /// `FLOW_REMOVED` generation).
-    pub fn apply_flow_mod(&mut self, fm: &FlowMod, now_ns: u64) -> Result<Vec<(u8, FlowEntry)>> {
+    pub fn apply_flow_mod(&mut self, fm: FlowMod, now_ns: u64) -> Result<Vec<(u8, FlowEntry)>> {
         fm.match_.validate()?;
         let tid = usize::from(fm.table_id);
         let all_tables = fm.table_id == 0xff;
@@ -573,15 +566,10 @@ impl Datapath {
         let mut removed = Vec::new();
         match fm.command {
             FlowModCommand::Add => {
-                let entry = FlowEntry::new(
-                    fm.priority,
-                    fm.match_.clone(),
-                    fm.instructions.clone(),
-                    now_ns,
-                )
-                .with_cookie(fm.cookie)
-                .with_timeouts(fm.idle_timeout, fm.hard_timeout)
-                .with_flags(fm.flags);
+                let entry = FlowEntry::new(fm.priority, fm.match_, fm.instructions, now_ns)
+                    .with_cookie(fm.cookie)
+                    .with_timeouts(fm.idle_timeout, fm.hard_timeout)
+                    .with_flags(fm.flags);
                 self.tables[tid].add(entry)?;
             }
             FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
@@ -1036,24 +1024,6 @@ impl Datapath {
         Some((in_port, reply))
     }
 
-    /// Aggregate mask of `table` (union of all entry masks), cached per
-    /// version. IN_PORT is always included: cached paths embed concrete
-    /// ports.
-    fn aggregate_mask(&mut self, t: usize) -> FieldMask {
-        let version = self.tables[t].version();
-        if self.table_masks[t].0 != version {
-            let mut m = FieldMask {
-                in_port: u32::MAX,
-                ..FieldMask::default()
-            };
-            for e in self.tables[t].entries() {
-                m = m.mask_union(&e.mask);
-            }
-            self.table_masks[t] = (version, m);
-        }
-        self.table_masks[t].1
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn slow_path(
         &mut self,
@@ -1098,23 +1068,13 @@ impl Datapath {
 
         loop {
             tables_visited += 1;
-            let agg = self.aggregate_mask(table);
-            ctx.unwild = ctx.unwild.mask_union(&agg);
+            // The union of the table's entry masks; `unwild` starts with
+            // IN_PORT because cached paths embed concrete ports.
+            ctx.unwild = ctx.unwild.mask_union(&self.tables[table].aggregate_mask());
 
             let hit = if self.config.mode.tss {
-                // (Re)build the index if stale.
-                let rebuild = match &self.tss[table] {
-                    Some(i) => !i.fresh(&self.tables[table]),
-                    None => true,
-                };
-                if rebuild {
-                    self.tss[table] = Some(TssIndex::build(&self.tables[table]));
-                }
-                let idx = self.tss[table].as_ref().unwrap();
-                let (hit, probes) = idx.lookup(&ctx.key);
+                let (hit, probes) = self.tables[table].lookup_indexed(&ctx.key);
                 tss_probes += probes;
-                // Count the lookup on the table for stats parity.
-                let _ = self.tables[table].lookups();
                 hit
             } else {
                 let (hit, n) = self.tables[table].lookup_counting(&ctx.key);
@@ -1536,7 +1496,7 @@ mod tests {
 
     fn add_forward_rule(dp: &mut Datapath, dst_port: u16, out: u32) {
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(10)
                 .match_(Match::new().eth_type(0x0800).ip_proto(17).udp_dst(dst_port))
                 .apply(vec![Action::output(out)]),
@@ -1562,6 +1522,44 @@ mod tests {
             let r = dp.process(1, udp_frame(1, 80), 0);
             assert!(r.dropped, "no rule for port 80 ⇒ drop (mode {mode:?})");
         }
+    }
+
+    /// `OFPMP_TABLE` counters do not depend on the lookup structure: the
+    /// indexed path counts lookups and hits exactly as the scan does.
+    #[test]
+    fn table_stats_agree_between_scan_and_index() {
+        let stats = |mode| {
+            let mut dp = dp(mode);
+            add_forward_rule(&mut dp, 53, 2);
+            dp.apply_flow_mod(
+                FlowMod::add(0)
+                    .priority(5)
+                    .match_(Match::new().eth_type(0x0800).ip_proto(17).udp_dst(80))
+                    .goto(1),
+                0,
+            )
+            .unwrap();
+            dp.apply_flow_mod(
+                FlowMod::add(1)
+                    .priority(1)
+                    .match_(Match::new().eth_type(0x0800))
+                    .apply(vec![Action::output(3)]),
+                0,
+            )
+            .unwrap();
+            for (src, port) in [(1, 53), (2, 80), (3, 7), (1, 53), (4, 80)] {
+                dp.process(1, udp_frame(src, port), 0);
+            }
+            (0..dp.n_tables())
+                .map(|t| {
+                    let table = dp.table(t).unwrap();
+                    (table.lookups(), table.hits())
+                })
+                .collect::<Vec<_>>()
+        };
+        let linear = stats(PipelineMode::linear());
+        assert_eq!(linear[..2], [(5, 4), (2, 2)]);
+        assert_eq!(stats(PipelineMode::tss()), linear);
     }
 
     #[test]
@@ -1604,7 +1602,7 @@ mod tests {
         assert_eq!(dp.micro_cache().hits(), 1);
         // Re-point the rule to port 3; cached path must not survive.
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(10)
                 .match_(Match::new().eth_type(0x0800).ip_proto(17).udp_dst(53))
                 .apply(vec![Action::output(3)]),
@@ -1620,7 +1618,7 @@ mod tests {
         // The HARMLESS SS_1 shape: trunk ingress match VLAN → pop → patch.
         let mut dp = dp(PipelineMode::full());
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(100)
                 .match_(Match::new().in_port(1).vlan(101))
                 .apply(vec![Action::PopVlan, Action::output(2)]),
@@ -1645,7 +1643,7 @@ mod tests {
         let mut dp = dp(PipelineMode::full());
         // Table 0: stamp metadata from VLAN, goto 1.
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(10)
                 .match_(Match::new().vlan(101))
                 .instructions(vec![
@@ -1661,7 +1659,7 @@ mod tests {
         .unwrap();
         // Table 1: match metadata, forward.
         dp.apply_flow_mod(
-            &FlowMod::add(1)
+            FlowMod::add(1)
                 .priority(10)
                 .match_(Match::new().with(openflow::OxmField::Metadata(101, None)))
                 .apply(vec![Action::output(4)]),
@@ -1679,7 +1677,7 @@ mod tests {
     fn table_miss_to_controller() {
         let mut dp = dp(PipelineMode::full());
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(0)
                 .apply(vec![Action::to_controller()]),
             0,
@@ -1694,7 +1692,7 @@ mod tests {
     fn flood_excludes_ingress() {
         let mut dp = dp(PipelineMode::full());
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(0)
                 .apply(vec![Action::output(port_no::FLOOD)]),
             0,
@@ -1720,7 +1718,7 @@ mod tests {
         )
         .unwrap();
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(10)
                 .match_(Match::new().eth_type(0x0800))
                 .apply(vec![Action::Group(1)]),
@@ -1756,11 +1754,8 @@ mod tests {
             ],
         )
         .unwrap();
-        dp.apply_flow_mod(
-            &FlowMod::add(0).priority(1).apply(vec![Action::Group(1)]),
-            0,
-        )
-        .unwrap();
+        dp.apply_flow_mod(FlowMod::add(0).priority(1).apply(vec![Action::Group(1)]), 0)
+            .unwrap();
         let r = dp.process(1, udp_frame(1, 53), 0);
         assert_eq!(r.outputs.len(), 2);
         let k2 = FlowKey::extract(0, &r.outputs[0].1).unwrap();
@@ -1781,7 +1776,7 @@ mod tests {
         )
         .unwrap();
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(10)
                 .match_(Match::new().eth_type(0x0800))
                 .instructions(vec![
@@ -1813,7 +1808,7 @@ mod tests {
         )
         .unwrap();
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(1)
                 .instructions(vec![Instruction::WriteActions(vec![
                     Action::output(2),
@@ -1831,7 +1826,7 @@ mod tests {
     fn expiry_generates_removals_and_bumps_epoch() {
         let mut dp = dp(PipelineMode::full());
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(10)
                 .match_(Match::new().eth_type(0x0800))
                 .apply(vec![Action::output(2)])
@@ -1851,7 +1846,7 @@ mod tests {
         let mut dp = dp(PipelineMode::full());
         let err = dp
             .apply_flow_mod(
-                &FlowMod::add(9).priority(1).apply(vec![Action::output(1)]),
+                FlowMod::add(9).priority(1).apply(vec![Action::output(1)]),
                 0,
             )
             .unwrap_err();
@@ -1953,7 +1948,7 @@ mod tests {
         )
         .unwrap();
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(10)
                 .match_(Match::new().eth_type(0x0800))
                 .instructions(vec![
@@ -2002,7 +1997,7 @@ mod tests {
         let mut dp = dp(PipelineMode::full());
         dp.set_router(Ipv4Addr::new(10, 0, 255, 254), MacAddr::host(0x4e));
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(10)
                 .match_(Match::new().eth_type(0x0800))
                 .apply(vec![
@@ -2065,7 +2060,7 @@ mod tests {
         // Port 1 = inside (egress to port 2), port 2 = outside
         // (ingress back to port 1).
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(10)
                 .match_(Match::new().in_port(1).eth_type(0x0800))
                 .apply(vec![Action::Nat(NatDir::Egress), Action::output(2)]),
@@ -2073,7 +2068,7 @@ mod tests {
         )
         .unwrap();
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(10)
                 .match_(Match::new().in_port(2).eth_type(0x0800))
                 .apply(vec![Action::Nat(NatDir::Ingress), Action::output(1)]),
@@ -2177,7 +2172,7 @@ mod tests {
             max_conns: 64,
         });
         dp.apply_flow_mod(
-            &FlowMod::add(0)
+            FlowMod::add(0)
                 .priority(10)
                 .match_(Match::new().in_port(1).eth_type(0x0800))
                 .apply(vec![Action::Nat(NatDir::Egress), Action::output(2)]),

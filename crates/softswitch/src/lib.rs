@@ -16,8 +16,6 @@
 //!   fast path, [`Datapath::process_batch`](datapath::Datapath::process_batch);
 //! * [`trace`] — the [`trace::ProcessingTrace`] every lookup produces and
 //!   the [`trace::CostModel`] that converts it to nanoseconds;
-//! * [`tss`] — tuple-space-search table indexes (the "ESwitch-style"
-//!   specialised fast path: one hash probe per distinct mask);
 //! * [`cache`] — exact-match microflow cache and masked megaflow cache
 //!   with OVS-style unwildcarding;
 //! * [`nat`] — the stateful source-NAT connection table behind
@@ -27,7 +25,8 @@
 //!   against);
 //! * [`datapath`] — the multi-table pipeline: flow/group/meter tables,
 //!   reserved-port semantics, IPv4 TTL/NAT stages, packet-in
-//!   generation, [`PipelineMode`] selection;
+//!   generation, [`PipelineMode`] selection (the tuple-space index the
+//!   TSS modes probe is kept by each [`openflow::FlowTable`]);
 //! * [`agent`] — the switch side of the OpenFlow channel (handshake,
 //!   flow-mods, packet-out, stats);
 //! * [`node`] — the [`netsim::Node`] wrapper: a CPU service queue in front
@@ -45,7 +44,6 @@ pub mod nat;
 pub mod node;
 pub mod route;
 pub mod trace;
-pub mod tss;
 
 pub use batch::{BatchResult, FrameBatch};
 pub use datapath::{Datapath, DpConfig, DpResult, PipelineMode};

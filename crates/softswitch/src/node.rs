@@ -513,7 +513,7 @@ impl SoftSwitchNode {
         let fm = FlowMod::add(0)
             .priority(0)
             .apply(vec![Action::to_controller()]);
-        let _ = self.dp.apply_flow_mod(&fm, now_ns);
+        let _ = self.dp.apply_flow_mod(fm, now_ns);
     }
 
     /// Serve a slow-path miss as a plain learning bridge would: learn the
@@ -794,7 +794,7 @@ mod tests {
         let mut sw = switch();
         sw.datapath_mut()
             .apply_flow_mod(
-                &FlowMod::add(0)
+                FlowMod::add(0)
                     .priority(1)
                     .match_(Match::new().in_port(1))
                     .apply(vec![Action::output(2)]),
@@ -841,7 +841,7 @@ mod tests {
             let mut sw = switch().with_batch_size(batch_size);
             sw.datapath_mut()
                 .apply_flow_mod(
-                    &FlowMod::add(0)
+                    FlowMod::add(0)
                         .priority(1)
                         .match_(Match::new().in_port(1))
                         .apply(vec![Action::output(2)]),
@@ -879,7 +879,7 @@ mod tests {
             }
             sw.datapath_mut()
                 .apply_flow_mod(
-                    &FlowMod::add(0)
+                    FlowMod::add(0)
                         .priority(1)
                         .match_(Match::new().in_port(1))
                         .apply(vec![Action::output(2)]),
@@ -929,7 +929,7 @@ mod tests {
         assert_eq!(sw.datapath_cores(), 4);
         sw.datapath_mut()
             .apply_flow_mod(
-                &FlowMod::add(0)
+                FlowMod::add(0)
                     .priority(1)
                     .match_(Match::new().in_port(1))
                     .apply(vec![Action::output(2)]),
@@ -993,7 +993,7 @@ mod tests {
         sw.add_port(2, "p2", 1_000_000);
         sw.datapath_mut()
             .apply_flow_mod(
-                &FlowMod::add(0).priority(1).apply(vec![Action::output(2)]),
+                FlowMod::add(0).priority(1).apply(vec![Action::output(2)]),
                 0,
             )
             .unwrap();
@@ -1231,7 +1231,7 @@ mod tests {
         sw.connect_controller(ctrl);
         sw.datapath_mut()
             .apply_flow_mod(
-                &FlowMod::add(0)
+                FlowMod::add(0)
                     .priority(0)
                     .apply(vec![Action::to_controller()]),
                 0,
@@ -1274,7 +1274,7 @@ mod tests {
         sw.connect_controller(ctrl);
         sw.datapath_mut()
             .apply_flow_mod(
-                &FlowMod::add(0)
+                FlowMod::add(0)
                     .priority(0)
                     .apply(vec![Action::to_controller()]),
                 0,
@@ -1343,7 +1343,7 @@ mod tests {
         net.node_mut::<SoftSwitchNode>(s)
             .datapath_mut()
             .apply_flow_mod(
-                &FlowMod::add(0)
+                FlowMod::add(0)
                     .priority(5)
                     .match_(Match::new().eth_type(0x0800))
                     .apply(vec![Action::output(2)]),

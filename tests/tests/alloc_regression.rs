@@ -51,7 +51,7 @@ fn cached_flood_to_32_ports_allocates_at_most_one_buffer() {
     let _g = COUNTER_LOCK.lock().unwrap();
     let mut dp = dp_with_ports(33);
     dp.apply_flow_mod(
-        &FlowMod::add(0)
+        FlowMod::add(0)
             .priority(1)
             .apply(vec![Action::output(port_no::FLOOD)]),
         0,
@@ -87,7 +87,7 @@ fn cached_path_batch_allocates_no_buffers() {
     let _g = COUNTER_LOCK.lock().unwrap();
     let mut dp = dp_with_ports(2);
     dp.apply_flow_mod(
-        &FlowMod::add(0)
+        FlowMod::add(0)
             .priority(1)
             .match_(Match::new().in_port(1))
             .apply(vec![Action::output(2)]),
@@ -123,7 +123,7 @@ fn cow_rewrite_allocates_exactly_one_buffer_per_frame() {
     let _g = COUNTER_LOCK.lock().unwrap();
     let mut dp = dp_with_ports(2);
     dp.apply_flow_mod(
-        &FlowMod::add(0)
+        FlowMod::add(0)
             .priority(1)
             .match_(Match::new().in_port(1))
             .apply(vec![

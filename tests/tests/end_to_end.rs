@@ -182,7 +182,7 @@ fn merged_variant_equivalence() {
                 let dp = net.node_mut::<SoftSwitchNode>(hx.ss2).datapath_mut();
                 for (a, b) in [(1u32, 2u32), (2, 1)] {
                     dp.apply_flow_mod(
-                        &openflow::message::FlowMod::add(0)
+                        openflow::message::FlowMod::add(0)
                             .priority(10)
                             .match_(openflow::Match::new().in_port(a))
                             .apply(vec![openflow::Action::output(b)]),
@@ -195,8 +195,8 @@ fn merged_variant_equivalence() {
                 let r12 = hx.merged_wiring_rule(1, 2);
                 let r21 = hx.merged_wiring_rule(2, 1);
                 let dp = net.node_mut::<SoftSwitchNode>(hx.ss2).datapath_mut();
-                dp.apply_flow_mod(&r12, 0).unwrap();
-                dp.apply_flow_mod(&r21, 0).unwrap();
+                dp.apply_flow_mod(r12, 0).unwrap();
+                dp.apply_flow_mod(r21, 0).unwrap();
             }
         }
         let a = fx.attach_host(&mut net, 0, 1).expect("free access port");

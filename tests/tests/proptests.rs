@@ -218,7 +218,7 @@ proptest! {
             }
             for (i, &(dport, out)) in rules.iter().enumerate() {
                 dp.apply_flow_mod(
-                    &FlowMod::add(0)
+                    FlowMod::add(0)
                         .priority(10 + (i % 3) as u16)
                         .match_(Match::new().eth_type(0x0800).ip_proto(17).udp_dst(dport))
                         .apply(vec![Action::output(out)]),
@@ -270,7 +270,7 @@ proptest! {
             }
             for (i, &(dport, out)) in rules.iter().enumerate() {
                 dp.apply_flow_mod(
-                    &FlowMod::add(0)
+                    FlowMod::add(0)
                         .priority(10 + (i % 3) as u16)
                         .match_(Match::new().eth_type(0x0800).ip_proto(17).udp_dst(dport))
                         .apply(vec![Action::output(out)]),
@@ -279,7 +279,7 @@ proptest! {
             }
             if with_miss_to_controller {
                 dp.apply_flow_mod(
-                    &FlowMod::add(0).priority(0).apply(vec![Action::to_controller()]),
+                    FlowMod::add(0).priority(0).apply(vec![Action::to_controller()]),
                     0,
                 ).unwrap();
             }
@@ -340,7 +340,7 @@ proptest! {
                 dp.add_port(p, format!("p{p}"), 1_000_000);
             }
             dp.apply_flow_mod(
-                &FlowMod::add(0)
+                FlowMod::add(0)
                     .priority(10)
                     .match_(Match::new().eth_type(0x0800).ip_proto(17).udp_dst(0))
                     .apply(vec![
@@ -351,14 +351,14 @@ proptest! {
                 0,
             ).unwrap();
             dp.apply_flow_mod(
-                &FlowMod::add(0)
+                FlowMod::add(0)
                     .priority(10)
                     .match_(Match::new().eth_type(0x0800).ip_proto(17).udp_dst(1))
                     .apply(vec![Action::output(3)]),
                 0,
             ).unwrap();
             dp.apply_flow_mod(
-                &FlowMod::add(0)
+                FlowMod::add(0)
                     .priority(5)
                     .apply(vec![Action::PopVlan, Action::output(4)]),
                 0,
@@ -418,7 +418,7 @@ proptest! {
             dp.add_port(harmless::translator::patch_port(p), format!("patch{p}"), 10_000_000);
         }
         for fm in harmless::translator::translator_rules(&map, 1) {
-            dp.apply_flow_mod(&fm, 0).unwrap();
+            dp.apply_flow_mod(fm, 0).unwrap();
         }
         let vlan = map.vlan_of(port).unwrap();
         let frame = builder::udp_packet(
@@ -879,11 +879,11 @@ proptest! {
             // Table 0: IPv4 classifier. Table 1: reverse NAT for the
             // external address, else fall through. Table 2: LPM routes.
             dp.apply_flow_mod(
-                &FlowMod::add(0).priority(10).match_(Match::new().eth_type(0x0800)).goto(1),
+                FlowMod::add(0).priority(10).match_(Match::new().eth_type(0x0800)).goto(1),
                 0,
             ).unwrap();
             dp.apply_flow_mod(
-                &FlowMod::add(1).priority(50)
+                FlowMod::add(1).priority(50)
                     .match_(Match::new().eth_type(0x0800).ipv4_dst(ext))
                     .instructions(vec![
                         Instruction::ApplyActions(vec![Action::Nat(NatDir::Ingress)]),
@@ -891,7 +891,7 @@ proptest! {
                     ]),
                 0,
             ).unwrap();
-            dp.apply_flow_mod(&FlowMod::add(1).priority(0).goto(2), 0).unwrap();
+            dp.apply_flow_mod(FlowMod::add(1).priority(0).goto(2), 0).unwrap();
             let route = |prefix: [u8; 4], len: u8, prio: u16, nat: Option<NatDir>, out: u32| {
                 let mask = std::net::Ipv4Addr::from(softswitch::route::prefix_mask(len));
                 let m = if len == 0 {
@@ -909,9 +909,9 @@ proptest! {
                 acts.push(Action::output(out));
                 FlowMod::add(2).priority(prio).match_(m).apply(acts)
             };
-            dp.apply_flow_mod(&route([10, 0, 0, 2], 32, 72, None, 2), 0).unwrap();
-            dp.apply_flow_mod(&route([10, 1, 0, 0], 16, 56, None, 3), 0).unwrap();
-            dp.apply_flow_mod(&route([0, 0, 0, 0], 0, 40, Some(NatDir::Egress), 4), 0).unwrap();
+            dp.apply_flow_mod(route([10, 0, 0, 2], 32, 72, None, 2), 0).unwrap();
+            dp.apply_flow_mod(route([10, 1, 0, 0], 16, 56, None, 3), 0).unwrap();
+            dp.apply_flow_mod(route([0, 0, 0, 0], 0, 40, Some(NatDir::Egress), 4), 0).unwrap();
             dp
         };
         let frame = |&(kind, host, port, low_ttl): &(u8, u8, u16, bool)| -> Bytes {
