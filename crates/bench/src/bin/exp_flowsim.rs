@@ -56,6 +56,9 @@ struct EpochResult {
     frames_sent: u64,
     frames_rx: u64,
     rx_bytes: u64,
+    /// Per sink: sorted `(udp_dst_port, frames)` shares and the latency
+    /// sample count.
+    sinks: Vec<(Vec<(u16, u64)>, u64)>,
     /// Events over the traffic phase only.
     events: u64,
     stats: HybridStats,
@@ -182,11 +185,15 @@ fn run_epoch(
     let mut frames_sent = 0u64;
     let mut frames_rx = 0u64;
     let mut rx_bytes = 0u64;
+    let mut sinks = Vec::with_capacity(pairs.len());
     for &(g, s, _, _) in &pairs {
         frames_sent += net.node_ref::<Generator>(g).sent();
         let sink = net.node_ref::<Sink>(s);
         frames_rx += sink.received();
         rx_bytes += sink.rx_bytes();
+        let mut ports: Vec<(u16, u64)> = sink.by_dst_port().iter().map(|(&p, &n)| (p, n)).collect();
+        ports.sort_unstable();
+        sinks.push((ports, sink.latency().count()));
     }
     let stats = *fs.stats();
     let mut rollup = Rollup::new();
@@ -202,6 +209,7 @@ fn run_epoch(
         frames_sent,
         frames_rx,
         rx_bytes,
+        sinks,
         events: net.events_processed() - e0,
         stats,
         all_done: fs.all_done(),
@@ -269,8 +277,9 @@ fn print_epoch(title: &str, r: &EpochResult, epoch: SimTime) {
 }
 
 /// CI smoke: a small fabric under both engines — the hybrid engine must
-/// reproduce the packet engine's delivered totals exactly while
-/// actually promoting, modeling and beating it on events.
+/// reproduce the packet engine's delivered totals, and every sink's
+/// per-port shares and latency sample count, exactly while actually
+/// promoting, modeling and beating it on events.
 fn quick() {
     let epoch = SimTime::from_secs(150);
     let packet = run_epoch(4, 8, 8, false, epoch);
@@ -293,6 +302,12 @@ fn quick() {
         (packet.frames_sent, packet.frames_rx, packet.rx_bytes),
         "hybrid must reproduce the packet engine's delivered totals"
     );
+    for (b, (h, p)) in hybrid.sinks.iter().zip(&packet.sinks).enumerate() {
+        assert_eq!(
+            h, p,
+            "sink {b}: hybrid must reproduce the packet engine's per-port shares and latency samples"
+        );
+    }
     assert!(
         hybrid.stats.promotions >= hybrid.n_bundles as u64,
         "every bundle should promote on a quiet fabric: {:?}",
@@ -310,7 +325,7 @@ fn quick() {
         packet.events
     );
     println!(
-        "\nE8 quick OK: equivalent totals, {} promotions, {:.1}x measured event reduction",
+        "\nE8 quick OK: equivalent totals and per-sink shares, {} promotions, {:.1}x measured event reduction",
         hybrid.stats.promotions,
         packet.events as f64 / hybrid.events as f64
     );

@@ -22,8 +22,16 @@
 //!   departures with CBR slot `start + k·gap ≤ w_end` are credited to
 //!   the generator and every hop ([`crate::Node::credit_modeled`]), and the
 //!   arrivals with `start + k·gap + latency ≤ w_end` are credited to the
-//!   sink — counters, byte totals, round-robin position and per-port
-//!   breakdowns move exactly as if the frames had been simulated.
+//!   sink ([`Sink::credit_modeled`]) — counters, byte totals, latency
+//!   samples and round-robin position move exactly as if the frames had
+//!   been simulated. A window costs O(hops), not O(flows): the sink's
+//!   per-port breakdown ([`Sink::by_dst_port`]) is folded with one
+//!   round-robin share ([`Sink::credit_ports`]) over every arrival since
+//!   the last fold. Shares are additive over consecutive ranges, so the
+//!   fold is exact whenever it runs: at every demotion, when a bundle
+//!   is done, and for every still-converged bundle at the end of each
+//!   [`FlowSim::run_until`]. Nothing can read a sink while the driver
+//!   holds the network, so every observable point sees exact shares.
 //! * **Converged → Packet** the moment any hop's quiescence counter
 //!   moves (table mod, cache epoch bump, slow-path miss, NAT eviction,
 //!   fault-induced drop, packet-in, reset) or a path link goes down.
@@ -145,6 +153,11 @@ struct ConvergedFlow {
     /// One-way latency applied to every modeled frame, snapshotted from
     /// the sink at promotion.
     latency_ns: u64,
+    /// Absolute index of the first arrival whose per-port share is not
+    /// yet folded into the sink (`≤ arr_next`). Round-robin shares are
+    /// additive over consecutive ranges, so `[folded, arr_next)` is
+    /// folded with one [`rr_share`] call instead of one per window.
+    folded: u64,
 }
 
 struct Bundle {
@@ -281,6 +294,13 @@ impl FlowSim {
             net.run_until(w_end);
             self.tick(net, w_end);
         }
+        // Hand the network back with every sink's per-port shares exact.
+        for b in &mut self.bundles {
+            if let State::Converged(cf) = &mut b.state {
+                fold_ports(net, b.spec.sink, &b.dst_ports, cf.folded, cf.arr_next);
+                cf.folded = cf.arr_next;
+            }
+        }
     }
 
     /// Engine counters so far.
@@ -406,6 +426,7 @@ impl FlowSim {
             dep_next: seq,
             arr_next: seq,
             latency_ns,
+            folded: seq,
         });
         self.stats.promotions += 1;
         self.stats.flows_promoted += n_flows;
@@ -456,14 +477,11 @@ impl FlowSim {
             ((w - start - cf.latency_ns) / gap + 1).min(cf.dep_next)
         };
         if arr_hi > cf.arr_next {
-            let per_port = rr_share(&b.dst_ports, cf.arr_next, arr_hi);
             let last_arrival = SimTime::from_nanos(start + (arr_hi - 1) * gap + cf.latency_ns);
-            let (frame_bytes, latency_ns) = (b.frame_bytes, cf.latency_ns);
-            let sink_id = b.spec.sink;
-            net.node_mut::<Sink>(sink_id).credit_modeled(
-                &per_port,
-                frame_bytes,
-                latency_ns,
+            net.node_mut::<Sink>(b.spec.sink).credit_modeled(
+                arr_hi - cf.arr_next,
+                b.frame_bytes,
+                cf.latency_ns,
                 last_arrival,
             );
             cf.arr_next = arr_hi;
@@ -471,6 +489,7 @@ impl FlowSim {
         self.stats.window_updates += 1;
         let b = &self.bundles[i];
         self.bundles[i].state = if cf.dep_next >= b.n_total && cf.arr_next >= b.n_total {
+            fold_ports(net, b.spec.sink, &b.dst_ports, cf.folded, cf.arr_next);
             State::Done
         } else {
             State::Converged(cf)
@@ -489,27 +508,26 @@ impl FlowSim {
     fn demote(&mut self, net: &mut Network, i: usize, cf: ConvergedFlow, links_up: bool) {
         let b = &self.bundles[i];
         let in_flight = cf.dep_next.saturating_sub(cf.arr_next);
+        let mut arrived = cf.arr_next;
         if in_flight > 0 {
             if links_up {
                 // The path still forwards; the tail lands at its
                 // computed (possibly future) arrival times.
-                let per_port = rr_share(&b.dst_ports, cf.arr_next, cf.dep_next);
                 let last_arrival =
                     SimTime::from_nanos(b.start_ns + (cf.dep_next - 1) * b.gap_ns + cf.latency_ns);
-                let (frame_bytes, latency_ns) = (b.frame_bytes, cf.latency_ns);
-                let sink_id = b.spec.sink;
-                net.node_mut::<Sink>(sink_id).credit_modeled(
-                    &per_port,
-                    frame_bytes,
-                    latency_ns,
+                net.node_mut::<Sink>(b.spec.sink).credit_modeled(
+                    in_flight,
+                    b.frame_bytes,
+                    cf.latency_ns,
                     last_arrival,
                 );
+                arrived = cf.dep_next;
             } else {
                 // A down link would have blackholed the tail.
                 self.stats.modeled_blackholed += in_flight;
             }
         }
-        let b = &self.bundles[i];
+        fold_ports(net, b.spec.sink, &b.dst_ports, cf.folded, arrived);
         let (gen_id, n_flows, n_total) = (b.spec.generator, b.n_flows, b.n_total);
         self.stats.demotions += 1;
         self.stats.flows_demoted += n_flows;
@@ -520,6 +538,14 @@ impl FlowSim {
         }
         net.with_node_ctx::<Generator, _>(gen_id, |g, ctx| g.resume(ctx));
         self.bundles[i].state = State::Packet { quiet: 0 };
+    }
+}
+
+/// Fold the per-port shares of arrivals `[from, to)` into the sink.
+fn fold_ports(net: &mut Network, sink: NodeId, dst_ports: &[u16], from: u64, to: u64) {
+    if to > from {
+        net.node_mut::<Sink>(sink)
+            .credit_ports(&rr_share(dst_ports, from, to));
     }
 }
 
@@ -570,5 +596,37 @@ mod tests {
     fn rr_share_empty_range() {
         let ports = [100u16, 200];
         assert!(rr_share(&ports, 5, 5).is_empty());
+    }
+
+    /// Sum share lists the way [`Sink::credit_ports`] accumulates them.
+    fn merged(parts: &[Vec<(u16, u64)>]) -> Vec<(u16, u64)> {
+        let mut sum = std::collections::BTreeMap::new();
+        for &(port, n) in parts.iter().flatten() {
+            *sum.entry(port).or_insert(0u64) += n;
+        }
+        sum.into_iter().collect()
+    }
+
+    /// The fold the driver relies on: shares of `[a, b)` plus shares of
+    /// `[b, c)` equal the shares of `[a, c)`, whatever the split point,
+    /// port duplication or number of round-robin cycles spanned.
+    #[test]
+    fn rr_share_is_additive_over_consecutive_ranges() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let distinct: Vec<u16> = (0..37).map(|i| 20_000 + i).collect();
+        let port_lists: [&[u16]; 4] = [&[7], &[100, 100, 300, 100, 200], &[9, 9], &distinct];
+        for ports in port_lists {
+            for _ in 0..500 {
+                // Offsets far past zero and ranges spanning up to
+                // thousands of cycles.
+                let base = rng.gen_range(0..1u64 << 40);
+                let c = base + rng.gen_range(0..50_000);
+                let b = rng.gen_range(base..=c);
+                let a = rng.gen_range(base..=b);
+                let split = merged(&[rr_share(ports, a, b), rr_share(ports, b, c)]);
+                assert_eq!(split, rr_share(ports, a, c), "{ports:?} [{a}, {b}, {c})");
+            }
+        }
     }
 }

@@ -450,11 +450,11 @@ impl Sink {
         self.last_rx
     }
 
-    /// Credit a window of analytically advanced arrivals: `per_port`
-    /// lists `(udp_dst_port, frames)` batches, each frame `frame_len`
-    /// bytes with one-way latency `latency_ns`, the last of them landing
-    /// at `last_arrival`. Counters, the per-port shares and the latency
-    /// histogram move exactly as if the frames had been delivered.
+    /// Credit a window of analytically advanced arrivals: `frames`
+    /// frames, each `frame_len` bytes with one-way latency `latency_ns`,
+    /// the last of them landing at `last_arrival`. Counters and the
+    /// latency histogram move exactly as if the frames had been
+    /// delivered; their per-port shares follow in [`Sink::credit_ports`].
     ///
     /// # Panics
     /// Panics if an [`SloMeter`] is attached: outage detection needs
@@ -462,7 +462,7 @@ impl Sink {
     /// packet-level.
     pub fn credit_modeled(
         &mut self,
-        per_port: &[(u16, u64)],
+        frames: u64,
         frame_len: u64,
         latency_ns: u64,
         last_arrival: SimTime,
@@ -472,18 +472,25 @@ impl Sink {
             "flow-level credit on an SLO-metered sink ({})",
             self.name
         );
-        let total: u64 = per_port.iter().map(|&(_, n)| n).sum();
-        if total == 0 {
+        if frames == 0 {
             return;
         }
-        self.received.add(total);
-        self.rx_bytes.add(total * frame_len);
-        self.latency.record_n(latency_ns, total);
+        self.received.add(frames);
+        self.rx_bytes.add(frames * frame_len);
+        self.latency.record_n(latency_ns, frames);
         self.last_latency_ns = Some(latency_ns);
         if self.first_rx.is_none() {
             self.first_rx = Some(last_arrival);
         }
         self.last_rx = Some(self.last_rx.map_or(last_arrival, |t| t.max(last_arrival)));
+    }
+
+    /// Fold the per-port shares of frames already counted by
+    /// [`Sink::credit_modeled`]: `per_port` lists `(udp_dst_port,
+    /// frames)` batches. The flow-level engine folds a whole converged
+    /// episode at once, so [`Sink::by_dst_port`] is exact whenever the
+    /// engine hands the network back.
+    pub fn credit_ports(&mut self, per_port: &[(u16, u64)]) {
         for &(port, n) in per_port {
             if n > 0 {
                 *self.by_dst_port.entry(port).or_insert(0) += n;

@@ -524,9 +524,11 @@ impl Datapath {
         let Ok(key) = FlowKey::extract(in_port, frame) else {
             return Some(false);
         };
-        let in_micro = self.config.mode.microflow && self.micro.contains(&key, self.epoch);
-        let in_mega = self.config.mode.megaflow && self.mega.contains(&key, self.epoch);
-        Some(in_micro || in_mega)
+        // A microflow hit answers without probing the megaflow cache.
+        Some(
+            (self.config.mode.microflow && self.micro.contains(&key, self.epoch))
+                || (self.config.mode.megaflow && self.mega.contains(&key, self.epoch)),
+        )
     }
 
     /// Monotonic disturbance counter for the hybrid flow-level engine:

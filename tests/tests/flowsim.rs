@@ -103,9 +103,9 @@ fn build_rig(seed: u64, n_pods: u16, l3: bool, flows_per_pair: u16, base_pps: f6
     Rig { net, fx, pairs }
 }
 
-/// Warm up, register every pair as a bundle, drive to `until`, and
-/// render the observables the equivalence contract covers.
-fn run_and_observe(mut rig: Rig, hybrid: bool) -> (String, FlowSim, u64) {
+/// Warm up and register every pair as a bundle under the selected
+/// engine.
+fn start(rig: &mut Rig, hybrid: bool) -> FlowSim {
     rig.net.run_until(SimTime::from_millis(200));
     let window = SimTime::from_millis(5);
     let mut fs = if hybrid {
@@ -117,8 +117,11 @@ fn run_and_observe(mut rig: Rig, hybrid: bool) -> (String, FlowSim, u64) {
         let spec = rig.fx.flow_bundle(&rig.net, src, dst);
         fs.add_bundle(&rig.net, spec);
     }
-    fs.run_until(&mut rig.net, SimTime::from_millis(500));
+    fs
+}
 
+/// Render the observables the equivalence contract covers.
+fn observe(rig: &Rig) -> String {
     let mut out = String::new();
     for (i, &(g, s, _, _)) in rig.pairs.iter().enumerate() {
         let gen = rig.net.node_ref::<Generator>(g);
@@ -134,8 +137,16 @@ fn run_and_observe(mut rig: Rig, hybrid: bool) -> (String, FlowSim, u64) {
             sink.latency().count(),
         ));
     }
+    out
+}
+
+/// Warm up, register every pair as a bundle, drive to `until`, and
+/// render the observables the equivalence contract covers.
+fn run_and_observe(mut rig: Rig, hybrid: bool) -> (String, FlowSim, u64) {
+    let mut fs = start(&mut rig, hybrid);
+    fs.run_until(&mut rig.net, SimTime::from_millis(500));
     let delivered = rig.net.delivered_bytes();
-    (out, fs, delivered)
+    (observe(&rig), fs, delivered)
 }
 
 proptest! {
@@ -168,6 +179,47 @@ proptest! {
         );
         prop_assert!(hybrid_fs.all_done());
         prop_assert!(hybrid_fs.stats().frames_modeled > 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Split runs ≡ one run: driving the hybrid engine through several
+    /// [`FlowSim::run_until`] calls that stop between window boundaries
+    /// must end with the observables of one call. At every stop each
+    /// sink's per-port shares must already add up to its received
+    /// count — the engine owes no unfolded credit once a call returns.
+    #[test]
+    fn split_runs_match_one_run(
+        pods in 1u16..=3,
+        l3 in any::<bool>(),
+        seed in 0u64..1_000,
+        stops in prop::collection::vec(0u64..300_000, 2..7),
+    ) {
+        let (one_call, one_fs, _) = run_and_observe(build_rig(seed, pods, l3, 4, 2_000.0), true);
+        let mut rig = build_rig(seed, pods, l3, 4, 2_000.0);
+        let mut fs = start(&mut rig, true);
+        let mut stops: Vec<SimTime> = stops
+            .iter()
+            // 200 ms + k µs, never on the 5 ms window grid.
+            .map(|&us| SimTime::from_micros(200_000 + us + u64::from(us % 5_000 == 0)))
+            .collect();
+        stops.sort_unstable();
+        stops.push(SimTime::from_millis(500));
+        for &stop in &stops {
+            fs.run_until(&mut rig.net, stop);
+            for &(_, s, _, _) in &rig.pairs {
+                let sink = rig.net.node_ref::<Sink>(s);
+                let by_port: u64 = sink.by_dst_port().values().sum();
+                prop_assert_eq!(by_port, sink.received(), "unfolded shares at {:?}", stop);
+            }
+        }
+        // A stop is an extra tick, so engine counters (window updates,
+        // promotion instants) may differ; the observables may not.
+        prop_assert_eq!(observe(&rig), one_call, "split run diverged");
+        prop_assert!(fs.all_done() && one_fs.all_done());
+        prop_assert!(fs.stats().promotions >= u64::from(pods));
     }
 }
 
