@@ -4,8 +4,9 @@
 //!
 //! Benchmarks cover the ablation axes: lookup machinery (linear / TSS /
 //! microflow / full), rule-set size, the HARMLESS translator path
-//! (pop+output, push+set+output), and the batched fast path
-//! (`process_batch` bursts vs. frame-at-a-time `process`).
+//! (pop+output, push+set+output), and the batched fast path (32-frame
+//! bursts vs. frame-at-a-time one-frame batches). Every frame enters
+//! through `Datapath::process_batch_into` with a reused result arena.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
@@ -16,7 +17,25 @@ use netpkt::{builder, MacAddr};
 use openflow::message::FlowMod;
 use openflow::{Action, Match};
 use softswitch::datapath::{Datapath, DpConfig, PipelineMode};
-use softswitch::FrameBatch;
+use softswitch::{BatchResult, FrameBatch};
+
+/// Frame-at-a-time service: each frame is its own one-frame batch,
+/// emitted into one arena reused across calls, the way a scalar node
+/// drives the datapath.
+#[derive(Default)]
+struct OneFrame {
+    batch: FrameBatch,
+    out: BatchResult,
+}
+
+impl OneFrame {
+    /// Process `frame` from `in_port`; returns its output count.
+    fn run(&mut self, dp: &mut Datapath, in_port: u32, frame: Bytes, now_ns: u64) -> usize {
+        self.batch.push(in_port, frame);
+        dp.process_batch_into(&mut self.batch, now_ns, &mut self.out);
+        self.out.total_outputs()
+    }
+}
 
 fn udp_frame(src: u32, dst_port: u16, len: usize) -> Bytes {
     let overhead = 14 + 20 + 8;
@@ -65,13 +84,14 @@ fn bench_pipeline_modes(c: &mut Criterion) {
     ] {
         let mut dp = acl_dp(mode, 1024);
         let frame = udp_frame(1, 512, 60);
+        let mut one = OneFrame::default();
         // Warm the caches with the benched flow.
-        dp.process(1, frame.clone(), 0);
+        one.run(&mut dp, 1, frame.clone(), 0);
         let mut t = 0u64;
         g.bench_function(name, |b| {
             b.iter(|| {
                 t += 1;
-                std::hint::black_box(dp.process(1, frame.clone(), t))
+                std::hint::black_box(one.run(&mut dp, 1, frame.clone(), t))
             })
         });
     }
@@ -85,11 +105,12 @@ fn bench_rule_count_scaling(c: &mut Criterion) {
         let mut dp = acl_dp(PipelineMode::linear(), n);
         // Miss-positioned flow: matches the LAST rule to show O(n).
         let frame = udp_frame(1, (n - 1) as u16, 60);
+        let mut one = OneFrame::default();
         let mut t = 0u64;
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 t += 1;
-                std::hint::black_box(dp.process(1, frame.clone(), t))
+                std::hint::black_box(one.run(&mut dp, 1, frame.clone(), t))
             })
         });
     }
@@ -99,11 +120,12 @@ fn bench_rule_count_scaling(c: &mut Criterion) {
     for n in [16u32, 256, 4096] {
         let mut dp = acl_dp(PipelineMode::tss(), n);
         let frame = udp_frame(1, (n - 1) as u16, 60);
+        let mut one = OneFrame::default();
         let mut t = 0u64;
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 t += 1;
-                std::hint::black_box(dp.process(1, frame.clone(), t))
+                std::hint::black_box(one.run(&mut dp, 1, frame.clone(), t))
             })
         });
     }
@@ -128,22 +150,20 @@ fn bench_translator_paths(c: &mut Criterion) {
     let mut g = c.benchmark_group("translator");
     g.throughput(Throughput::Elements(1));
     let tagged = push_vlan(&udp_frame(1, 53, 60), VlanTag::new(117)).unwrap();
+    let mut one = OneFrame::default();
     let mut t = 0u64;
     g.bench_function("downstream_pop_dispatch", |b| {
         b.iter(|| {
             t += 1;
-            std::hint::black_box(dp.process(1, tagged.clone(), t))
+            std::hint::black_box(one.run(&mut dp, 1, tagged.clone(), t))
         })
     });
     let untagged = udp_frame(1, 53, 60);
+    let patch = harmless::translator::patch_port(17);
     g.bench_function("upstream_push_tag", |b| {
         b.iter(|| {
             t += 1;
-            std::hint::black_box(dp.process(
-                harmless::translator::patch_port(17),
-                untagged.clone(),
-                t,
-            ))
+            std::hint::black_box(one.run(&mut dp, patch, untagged.clone(), t))
         })
     });
     g.finish();
@@ -154,13 +174,14 @@ fn bench_frame_sizes(c: &mut Criterion) {
     for len in [60usize, 512, 1514] {
         let mut dp = acl_dp(PipelineMode::full(), 256);
         let frame = udp_frame(1, 128, len);
-        dp.process(1, frame.clone(), 0);
+        let mut one = OneFrame::default();
+        one.run(&mut dp, 1, frame.clone(), 0);
         g.throughput(Throughput::Bytes(len as u64));
         let mut t = 0u64;
         g.bench_with_input(BenchmarkId::from_parameter(len), &len, |b, _| {
             b.iter(|| {
                 t += 1;
-                std::hint::black_box(dp.process(1, frame.clone(), t))
+                std::hint::black_box(one.run(&mut dp, 1, frame.clone(), t))
             })
         });
     }
@@ -191,8 +212,9 @@ fn bench_batched_vs_scalar(c: &mut Criterion) {
     let frames = burst_frames();
     {
         let mut dp = acl_dp(PipelineMode::full(), 1024);
+        let mut one = OneFrame::default();
         for f in &frames {
-            dp.process(1, f.clone(), 0);
+            one.run(&mut dp, 1, f.clone(), 0);
         }
         let mut t = 0u64;
         g.bench_function("scalar", |b| {
@@ -200,7 +222,7 @@ fn bench_batched_vs_scalar(c: &mut Criterion) {
                 t += 1;
                 let mut outs = 0usize;
                 for f in &frames {
-                    outs += dp.process(1, f.clone(), t).outputs.len();
+                    outs += one.run(&mut dp, 1, f.clone(), t);
                 }
                 std::hint::black_box(outs)
             })
@@ -208,18 +230,21 @@ fn bench_batched_vs_scalar(c: &mut Criterion) {
     }
     {
         let mut dp = acl_dp(PipelineMode::full(), 1024);
+        let mut one = OneFrame::default();
         for f in &frames {
-            dp.process(1, f.clone(), 0);
+            one.run(&mut dp, 1, f.clone(), 0);
         }
         let mut t = 0u64;
         let mut batch = FrameBatch::with_capacity(frames.len());
+        let mut out = BatchResult::default();
         g.bench_function("batch32", |b| {
             b.iter(|| {
                 t += 1;
                 for f in &frames {
                     batch.push(1, f.clone());
                 }
-                std::hint::black_box(dp.process_batch(&mut batch, t).total_outputs())
+                dp.process_batch_into(&mut batch, t, &mut out);
+                std::hint::black_box(out.total_outputs())
             })
         });
     }
@@ -233,13 +258,14 @@ fn bench_batched_vs_scalar(c: &mut Criterion) {
     let frames = burst_frames();
     {
         let mut dp = acl_dp(PipelineMode::tss(), 1024);
+        let mut one = OneFrame::default();
         let mut t = 0u64;
         g.bench_function("scalar", |b| {
             b.iter(|| {
                 t += 1;
                 let mut outs = 0usize;
                 for f in &frames {
-                    outs += dp.process(1, f.clone(), t).outputs.len();
+                    outs += one.run(&mut dp, 1, f.clone(), t);
                 }
                 std::hint::black_box(outs)
             })
@@ -249,13 +275,15 @@ fn bench_batched_vs_scalar(c: &mut Criterion) {
         let mut dp = acl_dp(PipelineMode::tss(), 1024);
         let mut t = 0u64;
         let mut batch = FrameBatch::with_capacity(frames.len());
+        let mut out = BatchResult::default();
         g.bench_function("batch32", |b| {
             b.iter(|| {
                 t += 1;
                 for f in &frames {
                     batch.push(1, f.clone());
                 }
-                std::hint::black_box(dp.process_batch(&mut batch, t).total_outputs())
+                dp.process_batch_into(&mut batch, t, &mut out);
+                std::hint::black_box(out.total_outputs())
             })
         });
     }

@@ -20,6 +20,34 @@ use openflow::{Action, Match};
 use softswitch::datapath::{Datapath, DpConfig, PipelineMode};
 use softswitch::{BatchResult, FrameBatch};
 
+/// Frame-at-a-time service: each frame is its own one-frame batch,
+/// emitted into one arena reused across calls, the way a scalar node
+/// drives the datapath.
+#[derive(Default)]
+struct OneFrame {
+    batch: FrameBatch,
+    out: BatchResult,
+}
+
+impl OneFrame {
+    /// Process `frame` from port 1; returns its output count.
+    fn run(&mut self, dp: &mut Datapath, frame: Bytes, now_ns: u64) -> usize {
+        self.batch.push(1, frame);
+        dp.process_batch_into(&mut self.batch, now_ns, &mut self.out);
+        self.out.total_outputs()
+    }
+}
+
+/// A full-mode 1k-rule ACL with every burst flow warm in the caches.
+fn warm_dp(frames: &[Bytes]) -> Datapath {
+    let mut dp = acl_dp(PipelineMode::full(), 1024);
+    let mut one = OneFrame::default();
+    for f in frames {
+        one.run(&mut dp, f.clone(), 0);
+    }
+    dp
+}
+
 fn udp_frame(src: u32, dst_port: u16, len: usize) -> Bytes {
     let overhead = 14 + 20 + 8;
     let payload = vec![0u8; len.saturating_sub(overhead)];
@@ -96,18 +124,16 @@ fn bench_parse_stage(c: &mut Criterion) {
     g.finish();
 }
 
-/// The full cached path, batch and scalar, with the result arena
-/// reused across iterations the way `SoftSwitchNode` reuses it across
-/// service periods. This is the headline zero-copy number.
+/// The full cached path, batch and scalar (one-frame batches), with the
+/// result arena reused across iterations the way `SoftSwitchNode`
+/// reuses it across service periods. This is the headline zero-copy
+/// number.
 fn bench_cached_stage(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline");
     g.throughput(Throughput::Elements(32));
     let frames = burst_frames();
     {
-        let mut dp = acl_dp(PipelineMode::full(), 1024);
-        for f in &frames {
-            dp.process(1, f.clone(), 0);
-        }
+        let mut dp = warm_dp(&frames);
         let mut t = 0u64;
         let mut batch = FrameBatch::with_capacity(frames.len());
         let mut out = BatchResult::default();
@@ -123,17 +149,15 @@ fn bench_cached_stage(c: &mut Criterion) {
         });
     }
     {
-        let mut dp = acl_dp(PipelineMode::full(), 1024);
-        for f in &frames {
-            dp.process(1, f.clone(), 0);
-        }
+        let mut dp = warm_dp(&frames);
+        let mut one = OneFrame::default();
         let mut t = 0u64;
         g.bench_function("cached_scalar_32", |b| {
             b.iter(|| {
                 t += 1;
                 let mut outs = 0usize;
                 for f in &frames {
-                    outs += dp.process(1, f.clone(), t).outputs.len();
+                    outs += one.run(&mut dp, f.clone(), t);
                 }
                 std::hint::black_box(outs)
             })
@@ -143,21 +167,23 @@ fn bench_cached_stage(c: &mut Criterion) {
 }
 
 /// The uncached tail: a full TSS pipeline walk per frame (no micro or
-/// megaflow caches), the cost every first-of-flow frame pays. Uses the
-/// scalar engine — the batch engine's persistent memo would otherwise
-/// absorb the walk after the first iteration.
+/// megaflow caches), the cost every first-of-flow frame pays. Uses
+/// one-frame batches, which never consult the memo — a multi-frame
+/// batch's persistent memo would absorb the walk after the first
+/// iteration.
 fn bench_slow_stage(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline");
     g.throughput(Throughput::Elements(32));
     let frames = burst_frames();
     let mut dp = acl_dp(PipelineMode::tss(), 1024);
+    let mut one = OneFrame::default();
     let mut t = 0u64;
     g.bench_function("slow_path_tss_32", |b| {
         b.iter(|| {
             t += 1;
             let mut outs = 0usize;
             for f in &frames {
-                outs += dp.process(1, f.clone(), t).outputs.len();
+                outs += one.run(&mut dp, f.clone(), t);
             }
             std::hint::black_box(outs)
         })
@@ -200,10 +226,7 @@ fn main() {
     let frames = burst_frames();
     let mut rep = report::Report::new();
     {
-        let mut dp = acl_dp(PipelineMode::full(), 1024);
-        for f in &frames {
-            dp.process(1, f.clone(), 0);
-        }
+        let mut dp = warm_dp(&frames);
         let mut t = 0u64;
         let mut batch = FrameBatch::with_capacity(frames.len());
         let mut out = BatchResult::default();
@@ -225,16 +248,14 @@ fn main() {
         );
     }
     {
-        let mut dp = acl_dp(PipelineMode::full(), 1024);
-        for f in &frames {
-            dp.process(1, f.clone(), 0);
-        }
+        let mut dp = warm_dp(&frames);
+        let mut one = OneFrame::default();
         let mut t = 0u64;
         let ns = ns_per_iter(|| {
             t += 1;
             let mut outs = 0usize;
             for f in &frames {
-                outs += dp.process(1, f.clone(), t).outputs.len();
+                outs += one.run(&mut dp, f.clone(), t);
             }
             std::hint::black_box(outs);
         });

@@ -25,6 +25,7 @@ use openflow::message::Message;
 use openflow::oxm::OxmField;
 use softswitch::agent::OfAgent;
 use softswitch::datapath::{Datapath, DpConfig, PipelineMode};
+use softswitch::{BatchResult, FrameBatch};
 
 const TOKEN_INSTALL: u64 = 1;
 const TOKEN_EXPIRE: u64 = 2;
@@ -70,6 +71,9 @@ pub struct CotsSwitchNode {
     install_queue: VecDeque<(NodeId, u32, Message)>,
     busy: bool,
     flow_mods_applied: u64,
+    /// One-frame batch and result arena, reused by every received frame.
+    rx: FrameBatch,
+    result: BatchResult,
 }
 
 impl CotsSwitchNode {
@@ -96,6 +100,8 @@ impl CotsSwitchNode {
             install_queue: VecDeque::new(),
             busy: false,
             flow_mods_applied: 0,
+            rx: FrameBatch::with_capacity(1),
+            result: BatchResult::default(),
         }
     }
 
@@ -180,15 +186,15 @@ impl Node for CotsSwitchNode {
 
     fn on_packet(&mut self, port: PortId, frame: Bytes, ctx: &mut NodeCtx) {
         // The ASIC forwards at line rate with a fixed pipeline latency.
-        let result = self
-            .dp
-            .process(u32::from(port.0), frame, ctx.now().as_nanos());
-        for (p, f) in result.outputs {
-            ctx.transmit_after(self.config.pipeline_latency, PortId(p as u16), f);
+        self.rx.push(u32::from(port.0), frame);
+        self.dp
+            .process_batch_into(&mut self.rx, ctx.now().as_nanos(), &mut self.result);
+        for (p, f) in self.result.outputs_of(0) {
+            ctx.transmit_after(self.config.pipeline_latency, PortId(*p as u16), f.clone());
         }
         if let Some(c) = self.controller {
-            for (reason, in_port, data) in result.packet_ins {
-                let msg = self.agent.packet_in(reason, in_port, &data);
+            for (reason, in_port, data) in self.result.packet_ins_of(0) {
+                let msg = self.agent.packet_in(*reason, *in_port, data);
                 ctx.ctrl_send(c, msg);
             }
         }

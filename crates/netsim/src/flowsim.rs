@@ -44,7 +44,10 @@
 //! Determinism holds by construction: the driver slices the run at
 //! fixed window multiples (and [`Network::run_until`] slicing is
 //! result-neutral), reads/mutates nodes only between slices, and draws
-//! no randomness of its own.
+//! no randomness of its own. A [`FlowSim::run_until`] that stops off
+//! the grid only credits converged bundles up to the stop; the state
+//! machine runs at grid boundaries alone, so where a run is split
+//! changes no counter.
 //!
 //! The one modeling assumption: converged frames do not contend with
 //! packet-level traffic in switch service queues (their service cost is
@@ -285,14 +288,26 @@ impl FlowSim {
     /// multiples and running the state machine at each boundary. Safe
     /// to call repeatedly; the slicing grid is absolute (multiples of
     /// the window since time zero), so split calls land on the same
-    /// boundaries as one long call.
+    /// boundaries as one long call. An `until` off the grid only
+    /// credits converged bundles up to `until`: it counts no window,
+    /// reads no quiescence and moves no bundle between states, so
+    /// split calls end with the engine counters of one call.
     pub fn run_until(&mut self, net: &mut Network, until: SimTime) {
         let w = self.window.as_nanos();
         while net.now() < until {
             let boundary = SimTime::from_nanos((net.now().as_nanos() / w + 1).saturating_mul(w));
-            let w_end = boundary.min(until);
-            net.run_until(w_end);
-            self.tick(net, w_end);
+            if boundary > until {
+                net.run_until(until);
+                for i in 0..self.bundles.len() {
+                    if let State::Converged(mut cf) = self.bundles[i].state {
+                        self.credit_converged(net, i, &mut cf, until);
+                        self.bundles[i].state = State::Converged(cf);
+                    }
+                }
+                break;
+            }
+            net.run_until(boundary);
+            self.tick(net, boundary);
         }
         // Hand the network back with every sink's per-port shares exact.
         for b in &mut self.bundles {
@@ -445,10 +460,39 @@ impl FlowSim {
             self.demote(net, i, cf, links_up);
             return;
         }
+        self.credit_converged(net, i, &mut cf, w_end);
+        self.stats.window_updates += 1;
+        let b = &self.bundles[i];
+        self.bundles[i].state = if cf.dep_next >= b.n_total && cf.arr_next >= b.n_total {
+            fold_ports(net, b.spec.sink, &b.dst_ports, cf.folded, cf.arr_next);
+            State::Done
+        } else {
+            State::Converged(cf)
+        };
+        // Refresh the quiescence snapshot: the credits above moved some
+        // hop counters (service completions), which must not read as a
+        // disturbance next window.
+        for h in 0..self.bundles[i].spec.hops.len() {
+            let node = self.bundles[i].spec.hops[h].node;
+            self.bundles[i].last_q[h] = net.node_dyn(node).quiescence();
+        }
+    }
+
+    /// Credit converged bundle `i` with the departures and arrivals due
+    /// by `until`, advancing `cf` past them. Credits move throughput
+    /// counters, never a hop's quiescence, so an off-grid credit leaves
+    /// the next boundary's disturbance check intact.
+    fn credit_converged(
+        &mut self,
+        net: &mut Network,
+        i: usize,
+        cf: &mut ConvergedFlow,
+        until: SimTime,
+    ) {
         let b = &self.bundles[i];
         let (gap, start) = (b.gap_ns, b.start_ns);
-        let w = w_end.as_nanos();
-        // Departures: CBR slots start + k·gap ≤ w_end, capped by the
+        let w = until.as_nanos();
+        // Departures: CBR slots start + k·gap ≤ until, capped by the
         // schedule end.
         let dep_hi = if w < start {
             0
@@ -485,21 +529,6 @@ impl FlowSim {
                 last_arrival,
             );
             cf.arr_next = arr_hi;
-        }
-        self.stats.window_updates += 1;
-        let b = &self.bundles[i];
-        self.bundles[i].state = if cf.dep_next >= b.n_total && cf.arr_next >= b.n_total {
-            fold_ports(net, b.spec.sink, &b.dst_ports, cf.folded, cf.arr_next);
-            State::Done
-        } else {
-            State::Converged(cf)
-        };
-        // Refresh the quiescence snapshot: the credits above moved some
-        // hop counters (service completions), which must not read as a
-        // disturbance next window.
-        for h in 0..self.bundles[i].spec.hops.len() {
-            let node = self.bundles[i].spec.hops[h].node;
-            self.bundles[i].last_q[h] = net.node_dyn(node).quiescence();
         }
     }
 

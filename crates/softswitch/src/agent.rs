@@ -14,6 +14,7 @@ use openflow::message::{
 use openflow::table::{FlowEntry, RemovedReason};
 use openflow::{Action, Error, NO_BUFFER};
 
+use crate::batch::BatchResult;
 use crate::datapath::Datapath;
 
 /// Output of one [`OfAgent::handle`] call.
@@ -37,6 +38,8 @@ pub struct OfAgent {
     generation_id: Option<u64>,
     echo_pending: Vec<Xid>,
     stale_echo_replies: u64,
+    /// Result arena every `PACKET_OUT` executes into, reused.
+    packet_out: BatchResult,
 }
 
 impl OfAgent {
@@ -52,6 +55,7 @@ impl OfAgent {
             generation_id: None,
             echo_pending: Vec::new(),
             stale_echo_replies: 0,
+            packet_out: BatchResult::default(),
         }
     }
 
@@ -289,8 +293,9 @@ impl OfAgent {
                 data,
                 ..
             } => {
-                let r = dp.packet_out(in_port, &actions, data, now_ns);
-                out.transmits.extend(r.outputs);
+                dp.packet_out(in_port, &actions, data, now_ns, &mut self.packet_out);
+                out.transmits
+                    .extend_from_slice(self.packet_out.outputs_of(0));
             }
             Message::BarrierRequest => {
                 out.replies.push(Message::BarrierReply.encode(xid));
@@ -461,6 +466,13 @@ mod tests {
         dp
     }
 
+    /// Push `frame()` through `dp` as a one-frame batch.
+    fn run1(dp: &mut Datapath) -> BatchResult {
+        let mut out = BatchResult::default();
+        dp.process_batch_into(&mut [(1, frame())].into_iter().collect(), 0, &mut out);
+        out
+    }
+
     fn frame() -> Bytes {
         builder::udp_packet(
             MacAddr::host(1),
@@ -514,8 +526,7 @@ mod tests {
         let (xid, msg, _) = Message::decode(&out.replies[0]).unwrap();
         assert_eq!((xid, msg), (8, Message::BarrierReply));
         // The rule is live.
-        let r = dp.process(1, frame(), 0);
-        assert_eq!(r.outputs[0].0, 2);
+        assert_eq!(run1(&mut dp).outputs_of(0)[0].0, 2);
     }
 
     #[test]
@@ -568,8 +579,8 @@ mod tests {
             .apply(vec![Action::output(2)])
             .cookie(0x77);
         agent.handle(&mut dp, &Message::FlowMod(fm).encode(1), 0);
-        dp.process(1, frame(), 0);
-        dp.process(1, frame(), 0);
+        run1(&mut dp);
+        run1(&mut dp);
         let req = Message::MultipartRequest(MultipartReq::Flow {
             table_id: 0xff,
             out_port: openflow::port_no::ANY,

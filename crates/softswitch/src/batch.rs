@@ -1,5 +1,6 @@
 //! Batched frame processing: the containers and the per-batch lookup
-//! memo behind [`Datapath::process_batch`].
+//! memo behind [`Datapath::process_batch_into`], the datapath's only
+//! packet entry point.
 //!
 //! A [`FrameBatch`] collects `(ingress port, frame)` pairs; the datapath
 //! drains it in one call, parsing every frame up front and resolving
@@ -15,8 +16,8 @@
 //! range into them. A result object is reusable across batches
 //! ([`BatchResult::clear`] keeps the allocations), so a steady-state
 //! service loop emits thousands of batches without allocating per
-//! frame — the per-frame `Vec<DpResult>` shape the old API forced is
-//! available on demand via [`BatchResult::per_frame`] for tests.
+//! frame. It is also the only result shape: a frame-at-a-time caller
+//! pushes one-frame batches into one arena it keeps, and reads frame 0.
 //!
 //! The memo persists across batches while the datapath epoch is
 //! unchanged, so a steady-state service loop serves every frame of a
@@ -25,25 +26,23 @@
 //! binding install) bumps the epoch, and the next batch starts from an
 //! empty memo, exactly as the microflow/megaflow caches invalidate.
 //!
-//! [`Datapath::process_batch`]: crate::Datapath::process_batch
+//! [`Datapath::process_batch_into`]: crate::Datapath::process_batch_into
 
 use bytes::Bytes;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use netpkt::FlowKey;
 
 use crate::cache::CachedPath;
-use crate::datapath::DpResult;
 use crate::trace::ProcessingTrace;
 use openflow::message::PacketInReason;
 
 /// A batch of `(ingress port, frame)` pairs awaiting processing.
 ///
-/// Reusable: [`Datapath::process_batch`] drains the batch, leaving it
-/// empty (capacity retained) for the next fill.
+/// Reusable: [`Datapath::process_batch_into`] drains the batch, leaving
+/// it empty (capacity retained) for the next fill.
 ///
-/// [`Datapath::process_batch`]: crate::Datapath::process_batch
+/// [`Datapath::process_batch_into`]: crate::Datapath::process_batch_into
 #[derive(Debug, Default)]
 pub struct FrameBatch {
     frames: Vec<(u32, Bytes)>,
@@ -125,8 +124,8 @@ pub(crate) struct FrameMark {
     pi: u32,
 }
 
-/// Everything one [`Datapath::process_batch`] call produced, as a flat
-/// arena.
+/// Everything one [`Datapath::process_batch_into`] (or
+/// [`Datapath::packet_out`]) call produced, as a flat arena.
 ///
 /// Output frames and packet-ins are stored contiguously in emission
 /// order; each processed frame records its sub-range, in input order
@@ -139,7 +138,8 @@ pub(crate) struct FrameMark {
 /// allocations, so a service loop can recycle one result object across
 /// service periods.
 ///
-/// [`Datapath::process_batch`]: crate::Datapath::process_batch
+/// [`Datapath::process_batch_into`]: crate::Datapath::process_batch_into
+/// [`Datapath::packet_out`]: crate::Datapath::packet_out
 #[derive(Debug, Default)]
 pub struct BatchResult {
     outputs: Vec<(u32, Bytes)>,
@@ -163,11 +163,6 @@ impl BatchResult {
         &self.frames
     }
 
-    /// The `i`-th frame's summary (input order).
-    pub fn frame(&self, i: usize) -> &FrameResult {
-        &self.frames[i]
-    }
-
     /// The `(port, frame)` outputs the `i`-th input frame produced.
     pub fn outputs_of(&self, i: usize) -> &[(u32, Bytes)] {
         let f = &self.frames[i];
@@ -181,39 +176,9 @@ impl BatchResult {
         &self.packet_ins[f.pi_start as usize..f.pi_end as usize]
     }
 
-    /// Output frames grouped per egress port, in emission order. The
-    /// `Bytes` handles are reference-counted, so grouping does not copy
-    /// payloads.
-    pub fn outputs_by_port(&self) -> BTreeMap<u32, Vec<Bytes>> {
-        let mut by_port: BTreeMap<u32, Vec<Bytes>> = BTreeMap::new();
-        for (port, frame) in &self.outputs {
-            by_port.entry(*port).or_default().push(frame.clone());
-        }
-        by_port
-    }
-
     /// Total output frames emitted across the batch.
     pub fn total_outputs(&self) -> usize {
         self.outputs.len()
-    }
-
-    /// Frames the pipeline dropped.
-    pub fn dropped_count(&self) -> usize {
-        self.frames.iter().filter(|f| f.dropped).count()
-    }
-
-    /// Expand into owned per-frame [`DpResult`]s (clones the handles).
-    /// For equivalence tests against the scalar path; the hot path
-    /// reads the arena directly.
-    pub fn per_frame(&self) -> Vec<DpResult> {
-        (0..self.frames.len())
-            .map(|i| DpResult {
-                outputs: self.outputs_of(i).to_vec(),
-                packet_ins: self.packet_ins_of(i).to_vec(),
-                dropped: self.frames[i].dropped,
-                trace: self.frames[i].trace,
-            })
-            .collect()
     }
 
     /// Empty the arenas, keeping their allocations for the next batch.
@@ -268,26 +233,6 @@ impl BatchResult {
             pi_start: mark.pi,
             pi_end: self.packet_ins.len() as u32,
         });
-    }
-
-    /// Convert a single-frame result into the scalar [`DpResult`] shape
-    /// without cloning the arenas.
-    pub(crate) fn into_single(mut self) -> DpResult {
-        debug_assert_eq!(self.frames.len(), 1, "into_single on a multi-frame result");
-        let f = self.frames.pop().unwrap_or(FrameResult {
-            dropped: true,
-            trace: None,
-            out_start: 0,
-            out_end: 0,
-            pi_start: 0,
-            pi_end: 0,
-        });
-        DpResult {
-            outputs: self.outputs,
-            packet_ins: self.packet_ins,
-            dropped: f.dropped,
-            trace: f.trace,
-        }
     }
 }
 
@@ -548,18 +493,9 @@ mod tests {
         assert!(r.outputs_of(1).is_empty());
         assert_eq!(r.outputs_of(2), &[(2, Bytes::from_static(b"c"))]);
         assert_eq!(r.packet_ins_of(2).len(), 1);
-        let by_port = r.outputs_by_port();
-        assert_eq!(by_port[&2].len(), 2);
-        assert_eq!(by_port[&3].len(), 1);
-        assert_eq!(&by_port[&2][1][..], b"c");
         assert_eq!(r.total_outputs(), 3);
-        assert_eq!(r.dropped_count(), 1);
-        // The compatibility view expands to the same shape.
-        let per = r.per_frame();
-        assert_eq!(per.len(), 3);
-        assert_eq!(per[0].outputs.len(), 2);
-        assert!(per[1].dropped);
-        assert_eq!(per[2].packet_ins.len(), 1);
+        let dropped: Vec<bool> = r.frames().iter().map(|f| f.dropped).collect();
+        assert_eq!(dropped, [false, true, false]);
         // Clearing keeps the allocations but empties the arenas.
         r.clear();
         assert!(r.is_empty());

@@ -1,10 +1,11 @@
 //! The multi-table OpenFlow 1.3 dataplane, structured as an explicit
 //! run-to-completion pipeline.
 //!
-//! [`Datapath::process_batch`] is the primary entry point: a
-//! [`FrameBatch`] goes in, a flat [`BatchResult`] arena of outputs /
-//! packet-ins / [`ProcessingTrace`]s comes out. Each batch runs through
-//! staged processing:
+//! [`Datapath::process_batch_into`] is the only entry point: a
+//! [`FrameBatch`] goes in, and a caller-owned [`BatchResult`] arena of
+//! outputs / packet-ins / [`ProcessingTrace`]s comes out. A scalar
+//! caller pushes one-frame batches into one reused arena. Each batch
+//! runs through staged processing:
 //!
 //! 1. **Parse** — every frame's [`FlowKey`] is extracted up front into
 //!    per-batch scratch (reused across batches, no per-batch Vec
@@ -22,12 +23,11 @@
 //! Frames travel as refcounted [`Bytes`] wrapped in a copy-on-write
 //! [`FrameBuf`]: pure-forward and flood paths never copy payloads, and
 //! the first byte-rewriting action (NAT, TTL, VLAN) pays exactly one
-//! copy. The single-frame [`Datapath::process`] delegates to the same
-//! engine with the memo disabled, so scalar and batched behaviour are
-//! identical by construction. Depending on [`PipelineMode`], lookups
-//! are served by the microflow cache, the megaflow cache, tuple-space
-//! indexes, or a plain linear walk — the ablation axis of the E8
-//! experiment.
+//! copy. A one-frame batch runs the same engine with the memo disabled,
+//! so one N-frame batch and N one-frame batches behave identically.
+//! Depending on [`PipelineMode`], lookups are served by the microflow
+//! cache, the megaflow cache, tuple-space indexes, or a plain linear
+//! walk — the ablation axis of the E8 experiment.
 
 use bytes::Bytes;
 use std::collections::BTreeMap;
@@ -46,7 +46,7 @@ use openflow::{
 };
 
 use crate::actions::{self, CAction, ReplaySink, TtlResult};
-use crate::batch::{BatchMemo, BatchResult, FrameBatch};
+use crate::batch::{BatchMemo, BatchResult, FrameBatch, FrameMark};
 use crate::cache::{CachedPath, MegaflowCache, MicroflowCache};
 use crate::nat::{NatConfig, NatProto, NatTable};
 use crate::trace::{LookupPath, ProcessingTrace};
@@ -158,19 +158,6 @@ pub struct PortInfo {
     pub speed_kbps: u32,
 }
 
-/// Everything one `process` call produced.
-#[derive(Debug, Default)]
-pub struct DpResult {
-    /// `(port, frame)` pairs to transmit.
-    pub outputs: Vec<(u32, Bytes)>,
-    /// Frames punted to the controller: `(reason, ingress port, frame)`.
-    pub packet_ins: Vec<(PacketInReason, u32, Bytes)>,
-    /// True if the pipeline dropped the packet (miss or meter).
-    pub dropped: bool,
-    /// Cost-accounting trace.
-    pub trace: Option<ProcessingTrace>,
-}
-
 /// The dataplane state of one software (or modelled hardware) switch.
 pub struct Datapath {
     config: DpConfig,
@@ -205,8 +192,8 @@ pub struct Datapath {
 const MAX_GROUP_DEPTH: u32 = 4;
 
 /// Reusable per-batch working storage. Taken out of the datapath for
-/// the duration of one [`Datapath::process_batch`] call and put back
-/// after, allocations intact.
+/// the duration of one [`Datapath::process_batch_into`] call and put
+/// back after, allocations intact.
 #[derive(Default)]
 struct BatchScratch {
     keys: Vec<FlowKey>,
@@ -249,7 +236,34 @@ struct ExecCtx<'a> {
     nat_dropped: bool,
 }
 
-impl ExecCtx<'_> {
+impl<'a> ExecCtx<'a> {
+    /// A fresh context for `frame` arriving on `in_port`, emitting into
+    /// `out`. `unwild` starts with IN_PORT because cached paths embed
+    /// concrete ports.
+    fn new(
+        frame: Bytes,
+        key: FlowKey,
+        in_port: u32,
+        trace: ProcessingTrace,
+        out: &'a mut BatchResult,
+    ) -> ExecCtx<'a> {
+        ExecCtx {
+            buf: FrameBuf::from_bytes(frame),
+            key,
+            in_port,
+            recorded: Vec::new(),
+            out,
+            trace,
+            unwild: FieldMask {
+                in_port: u32::MAX,
+                ..FieldMask::default()
+            },
+            metered_out: false,
+            ttl_expired: false,
+            nat_dropped: false,
+        }
+    }
+
     fn halted(&self) -> bool {
         self.metered_out || self.ttl_expired || self.nat_dropped
     }
@@ -362,7 +376,8 @@ impl Datapath {
     }
 
     /// Lookups served by the per-batch memo across all
-    /// [`Datapath::process_batch`] calls (repeated keys within a batch).
+    /// [`Datapath::process_batch_into`] calls (repeated keys within a
+    /// batch).
     pub fn batch_memo_hits(&self) -> u64 {
         self.batch_memo_hits
     }
@@ -665,66 +680,30 @@ impl Datapath {
     }
 
     /// Execute a controller `PACKET_OUT`: apply `actions` to `data` with
-    /// `in_port` as the ingress context.
+    /// `in_port` as the ingress context. `out` is cleared first and then
+    /// holds the one-frame result; callers keep one arena and reuse it.
     pub fn packet_out(
         &mut self,
         in_port: u32,
         actions: &[Action],
         data: Bytes,
         now_ns: u64,
-    ) -> DpResult {
+        out: &mut BatchResult,
+    ) {
+        out.clear();
         let key = FlowKey::extract_lossy(in_port, &data);
-        let len = data.len();
-        let mut out = BatchResult::default();
+        let trace = ProcessingTrace::new(data.len());
         let mark = out.mark();
-        let trace = {
-            let mut ctx = ExecCtx {
-                buf: FrameBuf::from_bytes(data),
-                key,
-                in_port,
-                recorded: Vec::new(),
-                out: &mut out,
-                trace: ProcessingTrace::new(len),
-                unwild: FieldMask::default(),
-                metered_out: false,
-                ttl_expired: false,
-                nat_dropped: false,
-            };
-            self.exec_actions(actions, &mut ctx, false, 0, now_ns);
-            for (port, f) in ctx.out.outputs_from(mark) {
-                if let Some(s) = self.pstat(*port) {
-                    s.tx_packets += 1;
-                    s.tx_bytes += f.len() as u64;
-                }
-            }
-            ctx.trace
-        };
-        out.finish_frame(mark, false, Some(trace));
-        out.into_single()
-    }
-
-    /// Process one frame. Delegates to the batch engine (memo disabled:
-    /// a single frame cannot repeat a key), so scalar and batched
-    /// processing share one code path.
-    pub fn process(&mut self, in_port: u32, frame: Bytes, now_ns: u64) -> DpResult {
-        let key = FlowKey::extract_lossy(in_port, &frame);
-        let mut out = BatchResult::default();
-        self.process_keyed(in_port, frame, &key, now_ns, None, &mut out);
-        out.into_single()
-    }
-
-    /// Process a whole batch of frames, draining `batch`. Convenience
-    /// wrapper over [`Datapath::process_batch_into`] that allocates a
-    /// fresh result; hot loops should hold a pooled [`BatchResult`] and
-    /// call the `_into` form directly.
-    pub fn process_batch(&mut self, batch: &mut FrameBatch, now_ns: u64) -> BatchResult {
-        let mut out = BatchResult::default();
-        self.process_batch_into(batch, now_ns, &mut out);
-        out
+        let mut ctx = ExecCtx::new(data, key, in_port, trace, out);
+        self.exec_actions(actions, &mut ctx, false, 0, now_ns);
+        let halted = ctx.halted();
+        self.close_frame(ctx.out, mark, halted, ctx.trace);
     }
 
     /// Process a whole batch of frames into a caller-owned (reusable)
-    /// result arena, draining `batch`.
+    /// result arena, draining `batch`. This is the datapath's only
+    /// packet entry point: a frame-at-a-time caller pushes one-frame
+    /// batches into one arena it keeps, and `out` is cleared first.
     ///
     /// Staged, DPDK burst style:
     ///
@@ -738,15 +717,14 @@ impl Datapath {
     ///    the arena. Repeated keys hit the memo and skip the hash
     ///    probe, epoch check and path clone of a scalar cache hit
     ///    (their traces read [`LookupPath::BatchHit`]);
-    /// 3. **Emit** — per-frame results land in `out` in input order
-    ///    (group them with [`BatchResult::outputs_by_port`]).
+    /// 3. **Emit** — per-frame results land in `out` in input order.
     ///
-    /// Outputs, packet-ins and drop decisions are identical to calling
-    /// [`Datapath::process`] on each frame in order with the same
-    /// `now_ns`: paths are only memoised when they are cacheable
-    /// (matched, meter-free), so rate-dependent flows still consult
-    /// meters frame by frame. `tests/tests/proptests.rs` pins this
-    /// equivalence property down.
+    /// Outputs, packet-ins and drop decisions are identical to pushing
+    /// each frame as its own one-frame batch, in order, with the same
+    /// `now_ns` (a one-frame batch never consults the memo): paths are
+    /// only memoised when they are cacheable (matched, meter-free), so
+    /// rate-dependent flows still consult meters frame by frame.
+    /// `tests/tests/proptests.rs` pins this equivalence property down.
     pub fn process_batch_into(
         &mut self,
         batch: &mut FrameBatch,
@@ -798,9 +776,9 @@ impl Datapath {
         self.scratch = scratch;
     }
 
-    /// The shared per-frame engine behind [`Datapath::process`] and
-    /// [`Datapath::process_batch`]: memo → microflow → megaflow → slow
-    /// path, emitting one frame's results into `out`.
+    /// The per-frame engine behind [`Datapath::process_batch_into`]:
+    /// memo → microflow → megaflow → slow path, emitting one frame's
+    /// results into `out`.
     fn process_keyed(
         &mut self,
         in_port: u32,
@@ -816,21 +794,15 @@ impl Datapath {
             s.rx_bytes += frame.len() as u64;
         }
         // 0. Per-batch memo: a key already resolved in this batch
-        //    replays its path without touching the caches again —
-        //    through the precompiled plan when the path is pure-forward.
+        //    replays its path without touching the caches again.
         if let Some(m) = memo.as_deref_mut() {
             if let Some(i) = m.lookup(key) {
                 // The memo lives in scratch (detached from `self` for
                 // the batch), so its path can be borrowed across the
                 // replay — no refcount traffic on the hottest path.
-                let path = m.path(i);
                 let mut trace = ProcessingTrace::new(frame.len());
                 trace.path = LookupPath::BatchHit;
-                if path.fast_ports().is_some() {
-                    return self.replay_fast(path, frame, now_ns, trace, out);
-                }
-                let path = path.clone();
-                return self.finish_path(&path, frame, *key, now_ns, trace, out);
+                return self.replay(m.path(i), frame, *key, now_ns, trace, out);
             }
         }
 
@@ -845,10 +817,7 @@ impl Datapath {
                 if let Some(m) = memo.as_deref_mut().filter(|m| m.has_room()) {
                     m.insert(*key, path.clone());
                 }
-                if path.fast_ports().is_some() {
-                    return self.replay_fast(&path, frame, now_ns, trace, out);
-                }
-                return self.finish_path(&path, frame, *key, now_ns, trace, out);
+                return self.replay(&path, frame, *key, now_ns, trace, out);
             }
         }
 
@@ -865,10 +834,7 @@ impl Datapath {
                 if let Some(m) = memo.as_deref_mut().filter(|m| m.has_room()) {
                     m.insert(*key, path.clone());
                 }
-                if path.fast_ports().is_some() {
-                    return self.replay_fast(&path, frame, now_ns, trace, out);
-                }
-                return self.finish_path(&path, frame, *key, now_ns, trace, out);
+                return self.replay(&path, frame, *key, now_ns, trace, out);
             }
             if let LookupPath::SlowPath { .. } = trace.path {
                 // carry the wasted probes into the slow-path accounting
@@ -884,10 +850,24 @@ impl Datapath {
         self.slow_path(in_port, frame, *key, now_ns, trace, memo, out)
     }
 
-    /// Replay a precompiled pure-forward plan: emit reference-counted
-    /// clones of `frame` (the path provably never rewrites bytes), bump
-    /// the flow/port counters exactly as a full replay would, and stamp
-    /// the templated trace.
+    /// Replay a resolved [`CachedPath`] (from a cache or the batch
+    /// memo): through its precompiled plan when it is pure-forward,
+    /// through the full action replay otherwise.
+    fn replay(
+        &mut self,
+        path: &CachedPath,
+        frame: Bytes,
+        key: FlowKey,
+        now_ns: u64,
+        trace: ProcessingTrace,
+        out: &mut BatchResult,
+    ) {
+        match path.fast_ports() {
+            Some(ports) => self.replay_fast(path, ports, frame, now_ns, trace, out),
+            None => self.finish_path(path, frame, key, now_ns, trace, out),
+        }
+    }
+
     /// Replay a precompiled pure-forward path: bump table and port
     /// counters and emit refcounted clones of the ingress frame — no
     /// action interpretation, no copy-on-write buffer. The last output
@@ -896,6 +876,7 @@ impl Datapath {
     fn replay_fast(
         &mut self,
         path: &CachedPath,
+        ports: &[u32],
         frame: Bytes,
         now_ns: u64,
         mut trace: ProcessingTrace,
@@ -906,7 +887,6 @@ impl Datapath {
         for &(t, idx) in &path.hits {
             self.tables[t].hit(idx, len, now_ns);
         }
-        let ports = path.fast_ports().expect("caller checked fast_ports");
         trace.outputs += ports.len() as u32;
         let empty = ports.is_empty();
         if let [head @ .., last] = ports {
@@ -981,15 +961,27 @@ impl Datapath {
                 out.push_output(port, reply);
             }
         }
+        self.close_frame(out, mark, flags.metered_out || ttl_expired, trace);
+    }
+
+    /// Close the frame opened at `mark`: credit its outputs to the
+    /// egress port counters and record its trace. The frame counts as
+    /// dropped if the pipeline `halted` (meter, TTL, NAT) or it emitted
+    /// nothing at all.
+    fn close_frame(
+        &mut self,
+        out: &mut BatchResult,
+        mark: FrameMark,
+        halted: bool,
+        trace: ProcessingTrace,
+    ) {
         for (port, f) in out.outputs_from(mark) {
             if let Some(s) = self.pstat(*port) {
                 s.tx_packets += 1;
                 s.tx_bytes += f.len() as u64;
             }
         }
-        let dropped = flags.metered_out
-            || ttl_expired
-            || (out.outputs_from(mark).is_empty() && out.no_packet_ins_from(mark));
+        let dropped = halted || (out.outputs_from(mark).is_empty() && out.no_packet_ins_from(mark));
         out.finish_frame(mark, dropped, Some(trace));
     }
 
@@ -1045,24 +1037,8 @@ impl Datapath {
             } => (tables, entries_scanned, tss_probes),
             _ => (0, 0, 0),
         };
-        let unwild = FieldMask {
-            in_port: u32::MAX,
-            ..FieldMask::default()
-        };
-
         let mark = out.mark();
-        let mut ctx = ExecCtx {
-            buf: FrameBuf::from_bytes(frame),
-            key,
-            in_port,
-            recorded: Vec::new(),
-            out,
-            trace,
-            unwild,
-            metered_out: false,
-            ttl_expired: false,
-            nat_dropped: false,
-        };
+        let mut ctx = ExecCtx::new(frame, key, in_port, trace, out);
         let mut action_set = ActionSet::default();
         let mut table = 0usize;
         let mut matched_any = false;
@@ -1070,8 +1046,7 @@ impl Datapath {
 
         loop {
             tables_visited += 1;
-            // The union of the table's entry masks; `unwild` starts with
-            // IN_PORT because cached paths embed concrete ports.
+            // The union of the table's entry masks.
             ctx.unwild = ctx.unwild.mask_union(&self.tables[table].aggregate_mask());
 
             let hit = if self.config.mode.tss {
@@ -1182,16 +1157,8 @@ impl Datapath {
             }
         }
 
-        for (port, f) in ctx.out.outputs_from(mark) {
-            if let Some(s) = self.pstat(*port) {
-                s.tx_packets += 1;
-                s.tx_bytes += f.len() as u64;
-            }
-        }
-        let dropped = ctx.halted()
-            || (ctx.out.outputs_from(mark).is_empty() && ctx.out.no_packet_ins_from(mark));
-        let trace = ctx.trace;
-        ctx.out.finish_frame(mark, dropped, Some(trace));
+        let halted = ctx.halted();
+        self.close_frame(ctx.out, mark, halted, ctx.trace);
     }
 
     fn action_set_to_list(set: &ActionSet) -> Vec<Action> {
@@ -1488,6 +1455,23 @@ mod tests {
         )
     }
 
+    /// Push `batch` through `dp` into a fresh arena.
+    fn run(dp: &mut Datapath, batch: &mut FrameBatch, now_ns: u64) -> BatchResult {
+        let mut out = BatchResult::default();
+        dp.process_batch_into(batch, now_ns, &mut out);
+        out
+    }
+
+    /// Push one frame through `dp` as a one-frame batch.
+    fn run1(dp: &mut Datapath, in_port: u32, frame: Bytes, now_ns: u64) -> BatchResult {
+        run(dp, &mut [(in_port, frame)].into_iter().collect(), now_ns)
+    }
+
+    /// The lookup path that served a one-frame result.
+    fn path_of(r: &BatchResult) -> LookupPath {
+        r.frames()[0].trace.unwrap().path
+    }
+
     fn dp(mode: PipelineMode) -> Datapath {
         let mut dp = Datapath::new(DpConfig::software(1).with_mode(mode));
         for p in 1..=4 {
@@ -1517,12 +1501,15 @@ mod tests {
         ] {
             let mut dp = dp(mode);
             add_forward_rule(&mut dp, 53, 2);
-            let r = dp.process(1, udp_frame(1, 53), 0);
-            assert_eq!(r.outputs.len(), 1, "mode {mode:?}");
-            assert_eq!(r.outputs[0].0, 2);
-            assert!(!r.dropped);
-            let r = dp.process(1, udp_frame(1, 80), 0);
-            assert!(r.dropped, "no rule for port 80 ⇒ drop (mode {mode:?})");
+            let r = run1(&mut dp, 1, udp_frame(1, 53), 0);
+            assert_eq!(r.outputs_of(0).len(), 1, "mode {mode:?}");
+            assert_eq!(r.outputs_of(0)[0].0, 2);
+            assert!(!r.frames()[0].dropped);
+            let r = run1(&mut dp, 1, udp_frame(1, 80), 0);
+            assert!(
+                r.frames()[0].dropped,
+                "no rule for port 80 ⇒ drop (mode {mode:?})"
+            );
         }
     }
 
@@ -1550,7 +1537,7 @@ mod tests {
             )
             .unwrap();
             for (src, port) in [(1, 53), (2, 80), (3, 7), (1, 53), (4, 80)] {
-                dp.process(1, udp_frame(src, port), 0);
+                run1(&mut dp, 1, udp_frame(src, port), 0);
             }
             (0..dp.n_tables())
                 .map(|t| {
@@ -1569,25 +1556,22 @@ mod tests {
         let mut dp = dp(PipelineMode::full());
         add_forward_rule(&mut dp, 53, 2);
         // First packet: slow path.
-        let r1 = dp.process(1, udp_frame(1, 53), 0);
-        assert!(matches!(
-            r1.trace.unwrap().path,
-            LookupPath::SlowPath { .. }
-        ));
+        let r1 = run1(&mut dp, 1, udp_frame(1, 53), 0);
+        assert!(matches!(path_of(&r1), LookupPath::SlowPath { .. }));
         // Same microflow: microflow hit.
-        let r2 = dp.process(1, udp_frame(1, 53), 1);
-        assert!(matches!(r2.trace.unwrap().path, LookupPath::MicroHit));
+        let r2 = run1(&mut dp, 1, udp_frame(1, 53), 1);
+        assert!(matches!(path_of(&r2), LookupPath::MicroHit));
         // Different src, same rule region: megaflow hit (the aggregate
         // mask includes eth/ip fields, so src variation stays within one
         // megaflow only if the mask says so — here table 0 masks udp_dst,
         // eth_type, ip_proto, and IN_PORT, so a new src IP still maps to
         // the same masked key... but eth_src differs in the key only if
         // masked. Aggregate mask has no eth_src bits ⇒ megaflow hit.)
-        let r3 = dp.process(1, udp_frame(7, 53), 2);
+        let r3 = run1(&mut dp, 1, udp_frame(7, 53), 2);
         assert!(
-            matches!(r3.trace.unwrap().path, LookupPath::MegaHit { .. }),
+            matches!(path_of(&r3), LookupPath::MegaHit { .. }),
             "got {:?}",
-            r3.trace.unwrap().path
+            path_of(&r3)
         );
         assert_eq!(dp.micro_cache().hits(), 1);
         assert_eq!(dp.mega_cache().hits(), 1);
@@ -1599,8 +1583,8 @@ mod tests {
     fn flow_mod_invalidates_caches() {
         let mut dp = dp(PipelineMode::full());
         add_forward_rule(&mut dp, 53, 2);
-        dp.process(1, udp_frame(1, 53), 0);
-        dp.process(1, udp_frame(1, 53), 1);
+        run1(&mut dp, 1, udp_frame(1, 53), 0);
+        run1(&mut dp, 1, udp_frame(1, 53), 1);
         assert_eq!(dp.micro_cache().hits(), 1);
         // Re-point the rule to port 3; cached path must not survive.
         dp.apply_flow_mod(
@@ -1611,8 +1595,8 @@ mod tests {
             2,
         )
         .unwrap();
-        let r = dp.process(1, udp_frame(1, 53), 3);
-        assert_eq!(r.outputs[0].0, 3, "stale cache would say 2");
+        let r = run1(&mut dp, 1, udp_frame(1, 53), 3);
+        assert_eq!(r.outputs_of(0)[0].0, 3, "stale cache would say 2");
     }
 
     #[test]
@@ -1629,14 +1613,14 @@ mod tests {
         .unwrap();
         let tagged =
             netpkt::vlan::push_vlan(&udp_frame(5, 53), netpkt::vlan::VlanTag::new(101)).unwrap();
-        let r = dp.process(1, tagged.clone(), 0);
-        assert_eq!(r.outputs.len(), 1);
-        let out_key = FlowKey::extract(0, &r.outputs[0].1).unwrap();
+        let r = run1(&mut dp, 1, tagged.clone(), 0);
+        assert_eq!(r.outputs_of(0).len(), 1);
+        let out_key = FlowKey::extract(0, &r.outputs_of(0)[0].1).unwrap();
         assert_eq!(out_key.vlan_vid, 0, "tag must be popped");
         // And the cached replay does the same thing.
-        let r2 = dp.process(1, tagged, 1);
-        assert!(matches!(r2.trace.unwrap().path, LookupPath::MicroHit));
-        let out_key2 = FlowKey::extract(0, &r2.outputs[0].1).unwrap();
+        let r2 = run1(&mut dp, 1, tagged, 1);
+        assert!(matches!(path_of(&r2), LookupPath::MicroHit));
+        let out_key2 = FlowKey::extract(0, &r2.outputs_of(0)[0].1).unwrap();
         assert_eq!(out_key2.vlan_vid, 0);
     }
 
@@ -1670,9 +1654,9 @@ mod tests {
         .unwrap();
         let tagged =
             netpkt::vlan::push_vlan(&udp_frame(5, 53), netpkt::vlan::VlanTag::new(101)).unwrap();
-        let r = dp.process(1, tagged, 0);
-        assert_eq!(r.outputs.len(), 1);
-        assert_eq!(r.outputs[0].0, 4);
+        let r = run1(&mut dp, 1, tagged, 0);
+        assert_eq!(r.outputs_of(0).len(), 1);
+        assert_eq!(r.outputs_of(0)[0].0, 4);
     }
 
     #[test]
@@ -1685,9 +1669,9 @@ mod tests {
             0,
         )
         .unwrap();
-        let r = dp.process(1, udp_frame(1, 53), 0);
-        assert_eq!(r.packet_ins.len(), 1);
-        assert_eq!(r.packet_ins[0].0, PacketInReason::NoMatch);
+        let r = run1(&mut dp, 1, udp_frame(1, 53), 0);
+        assert_eq!(r.packet_ins_of(0).len(), 1);
+        assert_eq!(r.packet_ins_of(0)[0].0, PacketInReason::NoMatch);
     }
 
     #[test]
@@ -1700,8 +1684,8 @@ mod tests {
             0,
         )
         .unwrap();
-        let r = dp.process(2, udp_frame(1, 53), 0);
-        let mut ports: Vec<u32> = r.outputs.iter().map(|(p, _)| *p).collect();
+        let r = run1(&mut dp, 2, udp_frame(1, 53), 0);
+        let mut ports: Vec<u32> = r.outputs_of(0).iter().map(|(p, _)| *p).collect();
         ports.sort_unstable();
         assert_eq!(ports, vec![1, 3, 4]);
     }
@@ -1729,13 +1713,13 @@ mod tests {
         .unwrap();
         let mut seen = std::collections::HashSet::new();
         for src in 1..100u32 {
-            let r = dp.process(1, udp_frame(src, 53), u64::from(src));
-            assert_eq!(r.outputs.len(), 1);
-            seen.insert(r.outputs[0].0);
+            let r = run1(&mut dp, 1, udp_frame(src, 53), u64::from(src));
+            assert_eq!(r.outputs_of(0).len(), 1);
+            seen.insert(r.outputs_of(0)[0].0);
             // Re-processing the same flow must pick the same port (from
             // cache, and by hash determinism).
-            let r2 = dp.process(1, udp_frame(src, 53), u64::from(src) + 1000);
-            assert_eq!(r2.outputs[0].0, r.outputs[0].0);
+            let r2 = run1(&mut dp, 1, udp_frame(src, 53), u64::from(src) + 1000);
+            assert_eq!(r2.outputs_of(0)[0].0, r.outputs_of(0)[0].0);
         }
         assert_eq!(seen.len(), 2, "both backends must be used");
     }
@@ -1758,10 +1742,10 @@ mod tests {
         .unwrap();
         dp.apply_flow_mod(FlowMod::add(0).priority(1).apply(vec![Action::Group(1)]), 0)
             .unwrap();
-        let r = dp.process(1, udp_frame(1, 53), 0);
-        assert_eq!(r.outputs.len(), 2);
-        let k2 = FlowKey::extract(0, &r.outputs[0].1).unwrap();
-        let k3 = FlowKey::extract(0, &r.outputs[1].1).unwrap();
+        let r = run1(&mut dp, 1, udp_frame(1, 53), 0);
+        assert_eq!(r.outputs_of(0).len(), 2);
+        let k2 = FlowKey::extract(0, &r.outputs_of(0)[0].1).unwrap();
+        let k3 = FlowKey::extract(0, &r.outputs_of(0)[1].1).unwrap();
         assert_eq!(k2.eth_dst, MacAddr::host(50), "bucket 1 rewrote its copy");
         assert_eq!(k3.eth_dst, MacAddr::host(99), "bucket 2 copy untouched");
     }
@@ -1789,10 +1773,10 @@ mod tests {
         )
         .unwrap();
         // 1 pps with burst 1: first passes, immediate repeats drop.
-        let r1 = dp.process(1, udp_frame(1, 53), 0);
-        assert!(!r1.dropped);
-        let r2 = dp.process(1, udp_frame(1, 53), 1000);
-        assert!(r2.dropped, "second packet within the same second must drop");
+        let r1 = run1(&mut dp, 1, udp_frame(1, 53), 0);
+        assert!(!r1.frames()[0].dropped);
+        let r2 = run1(&mut dp, 1, udp_frame(1, 53), 1000);
+        assert!(r2.frames()[0].dropped, "a repeat within the second drops");
         assert!(
             dp.micro_cache().is_empty(),
             "metered paths must not be cached"
@@ -1819,9 +1803,9 @@ mod tests {
             0,
         )
         .unwrap();
-        let r = dp.process(1, udp_frame(1, 53), 0);
-        assert_eq!(r.outputs.len(), 1);
-        assert_eq!(r.outputs[0].0, 3, "group in action set wins over output");
+        let r = run1(&mut dp, 1, udp_frame(1, 53), 0);
+        assert_eq!(r.outputs_of(0).len(), 1);
+        assert_eq!(r.outputs_of(0)[0].0, 3, "action-set group beats output");
     }
 
     #[test]
@@ -1859,9 +1843,9 @@ mod tests {
     fn empty_batch_yields_empty_result() {
         let mut dp = dp(PipelineMode::full());
         let mut batch = FrameBatch::new();
-        let r = dp.process_batch(&mut batch, 0);
+        let r = run(&mut dp, &mut batch, 0);
         assert!(r.is_empty());
-        assert!(r.outputs_by_port().is_empty());
+        assert_eq!(r.total_outputs(), 0);
         assert_eq!(dp.packets_processed(), 0);
     }
 
@@ -1880,8 +1864,8 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let r = dp.process_batch(&mut batch, 0);
-        assert!(batch.is_empty(), "process_batch drains the batch");
+        let r = run(&mut dp, &mut batch, 0);
+        assert!(batch.is_empty(), "processing drains the batch");
         assert_eq!(r.len(), 5);
         let ports: Vec<u32> = (0..r.len()).map(|i| r.outputs_of(i)[0].0).collect();
         assert_eq!(ports, vec![2, 2, 3, 2, 3]);
@@ -1893,28 +1877,23 @@ mod tests {
             .map(|f| matches!(f.trace.unwrap().path, LookupPath::BatchHit))
             .collect();
         assert_eq!(paths, vec![false, true, false, true, true]);
-        let by_port = r.outputs_by_port();
-        assert_eq!(by_port[&2].len(), 3);
-        assert_eq!(by_port[&3].len(), 2);
     }
 
     #[test]
     fn batch_memo_serves_repeats_of_a_microflow_hit() {
         let mut dp = dp(PipelineMode::full());
         add_forward_rule(&mut dp, 53, 2);
-        // Warm the microflow cache with scalar traffic.
-        dp.process(1, udp_frame(1, 53), 0);
+        // Warm the microflow cache with a one-frame batch.
+        run1(&mut dp, 1, udp_frame(1, 53), 0);
         let micro_hits = dp.micro_cache().hits();
         let mut batch: FrameBatch = (0..4).map(|_| (1u32, udp_frame(1, 53))).collect();
-        let r = dp.process_batch(&mut batch, 1);
+        let r = run(&mut dp, &mut batch, 1);
         // One micro probe resolves the key for the whole batch.
         assert_eq!(dp.micro_cache().hits(), micro_hits + 1);
         assert_eq!(dp.batch_memo_hits(), 3);
-        assert!(r
-            .per_frame()
-            .iter()
-            .all(|d| d.outputs == [(2, udp_frame(1, 53))]));
-        // Flow counters account every frame, exactly like scalar calls.
+        assert!((0..r.len()).all(|i| r.outputs_of(i) == [(2, udp_frame(1, 53))]));
+        // Flow counters account every frame, exactly like one-frame
+        // batches.
         assert_eq!(dp.table(0).unwrap().entries()[0].packets, 5);
     }
 
@@ -1931,10 +1910,10 @@ mod tests {
         }
         add_forward_rule(&mut dp, 53, 2);
         let mut batch: FrameBatch = (0..256).map(|i| (1u32, udp_frame(i, 53))).collect();
-        let r = dp.process_batch(&mut batch, 0);
+        let r = run(&mut dp, &mut batch, 0);
         assert_eq!(r.len(), 256);
-        assert!((0..r.len()).all(|i| !r.frame(i).dropped && r.outputs_of(i)[0].0 == 2));
-        assert_eq!(r.outputs_by_port()[&2].len(), 256);
+        assert!((0..r.len()).all(|i| !r.frames()[i].dropped && r.outputs_of(i)[0].0 == 2));
+        assert_eq!(r.total_outputs(), 256);
         assert_eq!(dp.packets_processed(), 256);
     }
 
@@ -1963,27 +1942,36 @@ mod tests {
         // 1 pps, burst 1: within one instant only the first frame passes,
         // and every frame must consult the meter individually.
         let mut batch: FrameBatch = (0..3).map(|_| (1u32, udp_frame(1, 53))).collect();
-        let r = dp.process_batch(&mut batch, 0);
+        let r = run(&mut dp, &mut batch, 0);
         let dropped: Vec<bool> = r.frames().iter().map(|f| f.dropped).collect();
         assert_eq!(dropped, vec![false, true, true]);
         assert_eq!(dp.batch_memo_hits(), 0, "metered paths must not memoize");
     }
 
+    /// A one-frame batch is the frame-at-a-time path: it never consults
+    /// the memo, so its traces name the cache layer that served it,
+    /// while one batch of the same frames replays the memo — with
+    /// identical outputs and drop decisions.
     #[test]
     fn single_frame_batch_equals_scalar_process() {
         let mut a = dp(PipelineMode::full());
         let mut b = dp(PipelineMode::full());
         add_forward_rule(&mut a, 53, 2);
         add_forward_rule(&mut b, 53, 2);
-        for t in 0..3u64 {
-            let scalar = a.process(1, udp_frame(1, 53), t);
-            let mut batch: FrameBatch = [(1u32, udp_frame(1, 53))].into_iter().collect();
-            let batched = b.process_batch(&mut batch, t).into_single();
-            assert_eq!(scalar.outputs, batched.outputs);
-            assert_eq!(scalar.dropped, batched.dropped);
-            assert_eq!(scalar.trace, batched.trace, "even traces agree");
+        let scalar: Vec<BatchResult> = (0..3)
+            .map(|_| run1(&mut a, 1, udp_frame(1, 53), 0))
+            .collect();
+        let mut batch: FrameBatch = (0..3).map(|_| (1u32, udp_frame(1, 53))).collect();
+        let batched = run(&mut b, &mut batch, 0);
+        for (i, s) in scalar.iter().enumerate() {
+            assert_eq!(s.outputs_of(0), batched.outputs_of(i));
+            assert_eq!(s.frames()[0].dropped, batched.frames()[i].dropped);
         }
-        assert_eq!(b.batch_memo_hits(), 0);
+        let paths: Vec<LookupPath> = scalar.iter().map(path_of).collect();
+        assert!(matches!(paths[0], LookupPath::SlowPath { .. }));
+        assert_eq!(paths[1..], [LookupPath::MicroHit; 2]);
+        assert_eq!(a.batch_memo_hits(), 0, "one-frame batches bypass the memo");
+        assert_eq!(b.batch_memo_hits(), 2);
     }
 
     /// Rewrite a frame's TTL (and fix the checksum) for expiry tests.
@@ -2016,10 +2004,10 @@ mod tests {
     #[test]
     fn ttl_expiry_answers_icmp_and_never_caches() {
         let mut dp = routed_dp();
-        let r = dp.process(1, with_ttl(&udp_frame(1, 53), 1), 0);
-        assert!(r.dropped, "expired packets are dropped");
-        assert_eq!(r.outputs.len(), 1, "…but answered");
-        let (port, reply) = &r.outputs[0];
+        let r = run1(&mut dp, 1, with_ttl(&udp_frame(1, 53), 1), 0);
+        assert!(r.frames()[0].dropped, "expired packets are dropped");
+        assert_eq!(r.outputs_of(0).len(), 1, "…but answered");
+        let (port, reply) = &r.outputs_of(0)[0];
         assert_eq!(*port, 1, "time-exceeded goes back out the ingress port");
         let view = netpkt::vlan::VlanView::parse(reply).unwrap();
         let ip = Ipv4Packet::new_checked(&reply[view.payload_offset..]).unwrap();
@@ -2038,19 +2026,19 @@ mod tests {
     fn ttl_expiry_on_a_cached_path_matches_slow_path() {
         let mut dp = routed_dp();
         // Healthy packet caches the routed path...
-        let r = dp.process(1, udp_frame(1, 53), 0);
-        assert_eq!(r.outputs[0].0, 2);
-        let out_ip = Ipv4Packet::new_checked(&r.outputs[0].1[14..]).unwrap();
+        let r = run1(&mut dp, 1, udp_frame(1, 53), 0);
+        assert_eq!(r.outputs_of(0)[0].0, 2);
+        let out_ip = Ipv4Packet::new_checked(&r.outputs_of(0)[0].1[14..]).unwrap();
         assert_eq!(out_ip.ttl(), 63, "forwarded copy lost one hop");
         assert!(out_ip.verify_checksum());
         // ...and a TTL-1 packet of the same flow replays through the
         // cache, where the per-packet TTL check still catches it.
-        let r2 = dp.process(1, with_ttl(&udp_frame(1, 53), 1), 1);
-        assert!(matches!(r2.trace.unwrap().path, LookupPath::MicroHit));
-        assert!(r2.dropped);
-        assert_eq!(r2.outputs.len(), 1);
-        let view = netpkt::vlan::VlanView::parse(&r2.outputs[0].1).unwrap();
-        let ip = Ipv4Packet::new_checked(&r2.outputs[0].1[view.payload_offset..]).unwrap();
+        let r2 = run1(&mut dp, 1, with_ttl(&udp_frame(1, 53), 1), 1);
+        assert!(matches!(path_of(&r2), LookupPath::MicroHit));
+        assert!(r2.frames()[0].dropped);
+        assert_eq!(r2.outputs_of(0).len(), 1);
+        let view = netpkt::vlan::VlanView::parse(&r2.outputs_of(0)[0].1).unwrap();
+        let ip = Ipv4Packet::new_checked(&r2.outputs_of(0)[0].1[view.payload_offset..]).unwrap();
         assert_eq!(ip.proto(), IpProto::ICMP);
         assert_eq!(dp.ttl_expired_total(), 1);
     }
@@ -2084,9 +2072,9 @@ mod tests {
     fn nat_offloads_established_connections_to_the_caches() {
         let (mut dp, ext) = nat_dp();
         // First packet of the connection: slow path, allocates state.
-        let r = dp.process(1, udp_frame(1, 9000), 0);
-        assert!(matches!(r.trace.unwrap().path, LookupPath::SlowPath { .. }));
-        let out = &r.outputs[0].1;
+        let r = run1(&mut dp, 1, udp_frame(1, 9000), 0);
+        assert!(matches!(path_of(&r), LookupPath::SlowPath { .. }));
+        let out = &r.outputs_of(0)[0].1;
         let k = FlowKey::extract(2, out).unwrap();
         assert_eq!(k.ipv4_src, u32::from(ext), "source translated");
         let ext_id = k.udp_src;
@@ -2095,10 +2083,10 @@ mod tests {
         // Second packet: pure cache hit, same translation, and the
         // connection's idle timer was refreshed through NatTouch.
         let micro_before = dp.micro_cache().hits();
-        let r2 = dp.process(1, udp_frame(1, 9000), 1);
-        assert!(matches!(r2.trace.unwrap().path, LookupPath::MicroHit));
+        let r2 = run1(&mut dp, 1, udp_frame(1, 9000), 1);
+        assert!(matches!(path_of(&r2), LookupPath::MicroHit));
         assert_eq!(dp.micro_cache().hits(), micro_before + 1);
-        let k2 = FlowKey::extract(2, &r2.outputs[0].1).unwrap();
+        let k2 = FlowKey::extract(2, &r2.outputs_of(0)[0].1).unwrap();
         assert_eq!((k2.ipv4_src, k2.udp_src), (u32::from(ext), ext_id));
         assert_eq!(dp.nat().live_conns(), 1, "no second connection");
 
@@ -2112,15 +2100,16 @@ mod tests {
             ext_id,
             b"pong",
         );
-        let r3 = dp.process(2, reply.clone(), 2);
-        assert_eq!(r3.outputs[0].0, 1);
-        let k3 = FlowKey::extract(1, &r3.outputs[0].1).unwrap();
+        let r3 = run1(&mut dp, 2, reply.clone(), 2);
+        assert_eq!(r3.outputs_of(0)[0].0, 1);
+        let k3 = FlowKey::extract(1, &r3.outputs_of(0)[0].1).unwrap();
         assert_eq!(k3.ipv4_dst, u32::from(Ipv4Addr::new(10, 0, 0, 1)));
         assert_eq!(k3.udp_dst, 1000, "reverse translation restores the port");
         // Replies hit the cache too.
-        let r4 = dp.process(2, reply, 3);
-        assert!(matches!(r4.trace.unwrap().path, LookupPath::MicroHit));
-        assert_eq!(FlowKey::extract(1, &r4.outputs[0].1).unwrap().udp_dst, 1000);
+        let r4 = run1(&mut dp, 2, reply, 3);
+        assert!(matches!(path_of(&r4), LookupPath::MicroHit));
+        let k4 = FlowKey::extract(1, &r4.outputs_of(0)[0].1).unwrap();
+        assert_eq!(k4.udp_dst, 1000);
     }
 
     #[test]
@@ -2135,9 +2124,9 @@ mod tests {
             50000,
             b"scan",
         );
-        let r = dp.process(2, stray.clone(), 0);
-        assert!(r.dropped, "no live connection: refused");
-        assert!(r.outputs.is_empty());
+        let r = run1(&mut dp, 2, stray.clone(), 0);
+        assert!(r.frames()[0].dropped, "no live connection: refused");
+        assert!(r.outputs_of(0).is_empty());
         assert_eq!(dp.nat_dropped_total(), 1);
         assert!(dp.micro_cache().is_empty(), "the refusal must not cache");
         // Outbound traffic establishes mappings (external ids are
@@ -2153,13 +2142,16 @@ mod tests {
                 9000,
                 b"out",
             );
-            dp.process(1, f, u64::from(p));
+            run1(&mut dp, 1, f, u64::from(p));
         }
         // The very same stray packet now has a live connection behind
         // it — a cached refusal would blackhole it.
-        let r2 = dp.process(2, stray, 99);
-        assert!(!r2.dropped, "mapping exists now, must translate");
-        assert_eq!(r2.outputs[0].0, 1);
+        let r2 = run1(&mut dp, 2, stray, 99);
+        assert!(
+            !r2.frames()[0].dropped,
+            "mapping exists now, must translate"
+        );
+        assert_eq!(r2.outputs_of(0)[0].0, 1);
     }
 
     #[test]
@@ -2181,18 +2173,18 @@ mod tests {
             0,
         )
         .unwrap();
-        dp.process(1, udp_frame(1, 9000), 0);
-        dp.process(1, udp_frame(1, 9000), 1);
+        run1(&mut dp, 1, udp_frame(1, 9000), 0);
+        run1(&mut dp, 1, udp_frame(1, 9000), 1);
         assert_eq!(dp.micro_cache().hits(), 1, "conn A cached");
         let epoch = dp.epoch();
         // Conn B steals the only external id: A's cached rewrite is
         // stale and the epoch bump must invalidate it.
-        dp.process(1, udp_frame(2, 9000), 2);
+        run1(&mut dp, 1, udp_frame(2, 9000), 2);
         assert!(dp.epoch() > epoch, "eviction must flush the caches");
         assert_eq!(dp.nat().evicted_lru(), 1);
-        let r = dp.process(1, udp_frame(1, 9000), 3);
+        let r = run1(&mut dp, 1, udp_frame(1, 9000), 3);
         assert!(
-            matches!(r.trace.unwrap().path, LookupPath::SlowPath { .. }),
+            matches!(path_of(&r), LookupPath::SlowPath { .. }),
             "A re-resolves through the slow path, not a stale cache"
         );
     }
@@ -2200,7 +2192,7 @@ mod tests {
     #[test]
     fn nat_sweep_reclaims_idle_connections_and_flushes() {
         let (mut dp, _) = nat_dp();
-        dp.process(1, udp_frame(1, 9000), 0);
+        run1(&mut dp, 1, udp_frame(1, 9000), 0);
         assert_eq!(dp.nat().live_conns(), 1);
         let epoch = dp.epoch();
         assert_eq!(dp.sweep_nat(1_000), 0, "default timeout is 60 s");
@@ -2214,8 +2206,8 @@ mod tests {
     fn port_stats_account_rx_and_tx() {
         let mut dp = dp(PipelineMode::full());
         add_forward_rule(&mut dp, 53, 2);
-        dp.process(1, udp_frame(1, 53), 0);
-        dp.process(1, udp_frame(1, 53), 1);
+        run1(&mut dp, 1, udp_frame(1, 53), 0);
+        run1(&mut dp, 1, udp_frame(1, 53), 1);
         let stats = dp.port_stats();
         let p1 = stats.iter().find(|s| s.port_no == 1).unwrap();
         let p2 = stats.iter().find(|s| s.port_no == 2).unwrap();

@@ -12,8 +12,9 @@
 //!   set-field with checksum maintenance) and the flattened
 //!   [`actions::CAction`] lists that caches replay;
 //! * [`batch`] — the [`batch::FrameBatch`]/[`batch::BatchResult`]
-//!   containers and per-batch lookup memo behind the burst-processing
-//!   fast path, [`Datapath::process_batch`](datapath::Datapath::process_batch);
+//!   containers and per-batch lookup memo behind the datapath's only
+//!   packet entry point,
+//!   [`Datapath::process_batch_into`](datapath::Datapath::process_batch_into);
 //! * [`trace`] — the [`trace::ProcessingTrace`] every lookup produces and
 //!   the [`trace::CostModel`] that converts it to nanoseconds;
 //! * [`cache`] — exact-match microflow cache and masked megaflow cache
@@ -46,7 +47,7 @@ pub mod route;
 pub mod trace;
 
 pub use batch::{BatchResult, FrameBatch};
-pub use datapath::{Datapath, DpConfig, DpResult, PipelineMode};
+pub use datapath::{Datapath, DpConfig, PipelineMode};
 pub use nat::{NatConfig, NatProto, NatTable};
 pub use node::{FailMode, SoftSwitchNode};
 pub use route::LpmTable;

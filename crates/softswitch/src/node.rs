@@ -6,12 +6,12 @@
 //! a same-instant burst or an RX queue that filled while a core was
 //! busy — a worker drains up to [`SoftSwitchNode::batch_size`] of them
 //! into one service period and runs them through
-//! [`Datapath::process_batch`], so repeated flows in the burst pay the
-//! cheaper `BatchHit` cost instead of a full cache probe each. Under
-//! light load every frame still gets its own service period and the
-//! behaviour is identical to scalar processing. The drain buffer and
-//! the result arena are owned by the node and recycled across service
-//! periods, so steady-state service allocates nothing.
+//! [`Datapath::process_batch_into`], so repeated flows in the burst pay
+//! the cheaper `BatchHit` cost instead of a full cache probe each. Under
+//! light load every frame still gets its own service period as a
+//! one-frame batch. The drain buffer and the result arena are owned by
+//! the node and recycled across service periods, so steady-state
+//! service allocates nothing.
 //!
 //! With [`SoftSwitchNode::with_datapath_cores`] the RX path switches
 //! from shared-queue work conservation to RSS-style flow steering:

@@ -140,13 +140,13 @@ fn observe(rig: &Rig) -> String {
     out
 }
 
-/// Warm up, register every pair as a bundle, drive to `until`, and
-/// render the observables the equivalence contract covers.
+/// Warm up, register every pair as a bundle, drive to 500 ms, and
+/// render the observables the equivalence contract covers, with the
+/// engine and the network's event count.
 fn run_and_observe(mut rig: Rig, hybrid: bool) -> (String, FlowSim, u64) {
     let mut fs = start(&mut rig, hybrid);
     fs.run_until(&mut rig.net, SimTime::from_millis(500));
-    let delivered = rig.net.delivered_bytes();
-    (observe(&rig), fs, delivered)
+    (observe(&rig), fs, rig.net.events_processed())
 }
 
 proptest! {
@@ -187,7 +187,8 @@ proptest! {
 
     /// Split runs ≡ one run: driving the hybrid engine through several
     /// [`FlowSim::run_until`] calls that stop between window boundaries
-    /// must end with the observables of one call. At every stop each
+    /// must end with the observables, engine counters and event count
+    /// of one call: an off-grid stop is no extra tick. At every stop each
     /// sink's per-port shares must already add up to its received
     /// count — the engine owes no unfolded credit once a call returns.
     #[test]
@@ -197,7 +198,8 @@ proptest! {
         seed in 0u64..1_000,
         stops in prop::collection::vec(0u64..300_000, 2..7),
     ) {
-        let (one_call, one_fs, _) = run_and_observe(build_rig(seed, pods, l3, 4, 2_000.0), true);
+        let (one_call, one_fs, one_events) =
+            run_and_observe(build_rig(seed, pods, l3, 4, 2_000.0), true);
         let mut rig = build_rig(seed, pods, l3, 4, 2_000.0);
         let mut fs = start(&mut rig, true);
         let mut stops: Vec<SimTime> = stops
@@ -215,9 +217,9 @@ proptest! {
                 prop_assert_eq!(by_port, sink.received(), "unfolded shares at {:?}", stop);
             }
         }
-        // A stop is an extra tick, so engine counters (window updates,
-        // promotion instants) may differ; the observables may not.
         prop_assert_eq!(observe(&rig), one_call, "split run diverged");
+        prop_assert_eq!(fs.stats(), one_fs.stats(), "engine counters diverged");
+        prop_assert_eq!(rig.net.events_processed(), one_events, "event count diverged");
         prop_assert!(fs.all_done() && one_fs.all_done());
         prop_assert!(fs.stats().promotions >= u64::from(pods));
     }

@@ -15,7 +15,19 @@ use netpkt::{builder, FlowKey, MacAddr};
 use openflow::message::{FlowMod, Message};
 use openflow::{Action, Match, OxmField};
 use softswitch::datapath::{Datapath, DpConfig, PipelineMode};
-use softswitch::FrameBatch;
+use softswitch::{BatchResult, FrameBatch};
+
+/// Push `batch` through `dp` into a fresh arena.
+fn run(dp: &mut Datapath, batch: &mut FrameBatch, now_ns: u64) -> BatchResult {
+    let mut out = BatchResult::default();
+    dp.process_batch_into(batch, now_ns, &mut out);
+    out
+}
+
+/// Push one frame through `dp` as a one-frame batch.
+fn run1(dp: &mut Datapath, in_port: u32, frame: Bytes, now_ns: u64) -> BatchResult {
+    run(dp, &mut [(in_port, frame)].into_iter().collect(), now_ns)
+}
 
 fn arb_mac() -> impl Strategy<Value = MacAddr> {
     any::<[u8; 6]>().prop_map(MacAddr)
@@ -239,17 +251,17 @@ proptest! {
                 dport,
                 b"x",
             );
-            let a = slow.process(1, frame.clone(), i as u64);
-            let b = fast.process(1, frame, i as u64);
-            prop_assert_eq!(a.dropped, b.dropped, "packet {}", i);
-            prop_assert_eq!(a.outputs, b.outputs, "packet {}", i);
+            let a = run1(&mut slow, 1, frame.clone(), i as u64);
+            let b = run1(&mut fast, 1, frame, i as u64);
+            prop_assert_eq!(a.frames()[0].dropped, b.frames()[0].dropped, "packet {}", i);
+            prop_assert_eq!(a.outputs_of(0), b.outputs_of(0), "packet {}", i);
         }
     }
 
     /// The batched fast path must be semantically invisible: for any mix
-    /// of rules, pipeline mode and packet sequence, one `process_batch`
-    /// call produces exactly the outputs, packet-ins and drop decisions
-    /// of N sequential `process` calls, in the same per-frame order.
+    /// of rules, pipeline mode and packet sequence, one N-frame batch
+    /// produces exactly the outputs, packet-ins and drop decisions of N
+    /// one-frame batches, in the same per-frame order.
     #[test]
     fn process_batch_equals_sequential_process(
         rules in proptest::collection::vec((0u16..16, 1u32..4), 1..16),
@@ -300,17 +312,16 @@ proptest! {
         let mut seq_dp = build();
         let sequential: Vec<_> = packets
             .iter()
-            .map(|p| seq_dp.process(1, frame(p), now))
+            .map(|p| run1(&mut seq_dp, 1, frame(p), now))
             .collect();
         let mut batch_dp = build();
         let mut batch: FrameBatch = packets.iter().map(|p| (1u32, frame(p))).collect();
-        let batched = batch_dp.process_batch(&mut batch, now);
-        let batched = batched.per_frame();
+        let batched = run(&mut batch_dp, &mut batch, now);
         prop_assert_eq!(batched.len(), sequential.len());
-        for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
-            prop_assert_eq!(&s.outputs, &b.outputs, "outputs of packet {}", i);
-            prop_assert_eq!(&s.packet_ins, &b.packet_ins, "packet-ins of packet {}", i);
-            prop_assert_eq!(s.dropped, b.dropped, "drop decision of packet {}", i);
+        for (i, s) in sequential.iter().enumerate() {
+            prop_assert_eq!(s.outputs_of(0), batched.outputs_of(i), "outputs of packet {}", i);
+            prop_assert_eq!(s.packet_ins_of(0), batched.packet_ins_of(i), "packet-ins of packet {}", i);
+            prop_assert_eq!(s.frames()[0].dropped, batched.frames()[i].dropped, "drop decision of packet {}", i);
         }
         // Aggregate state agrees too: every frame was processed and flow
         // counters saw identical traffic.
@@ -323,7 +334,7 @@ proptest! {
 
     /// Copy-on-write equivalence for frame-rewriting actions: batched
     /// service of interleaved VLAN-push, VLAN-pop and pure-forward flows
-    /// produces byte-identical frames to scalar service, and a flow's
+    /// produces byte-identical frames to one-frame batches, and a flow's
     /// rewrite never leaks into a neighbouring frame that shares the
     /// same backing storage (the CoW copy must be private).
     #[test]
@@ -385,16 +396,16 @@ proptest! {
         let mut seq_dp = build();
         let sequential: Vec<_> = packets
             .iter()
-            .map(|p| seq_dp.process(1, frame(p), now))
+            .map(|p| run1(&mut seq_dp, 1, frame(p), now))
             .collect();
         let mut batch_dp = build();
         let originals: Vec<Bytes> = packets.iter().map(frame).collect();
         let mut batch: FrameBatch = originals.iter().map(|f| (1u32, f.clone())).collect();
-        let batched = batch_dp.process_batch(&mut batch, now).per_frame();
+        let batched = run(&mut batch_dp, &mut batch, now);
         prop_assert_eq!(batched.len(), sequential.len());
-        for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
-            prop_assert_eq!(&s.outputs, &b.outputs, "rewritten frames of packet {}", i);
-            prop_assert_eq!(s.dropped, b.dropped, "drop decision of packet {}", i);
+        for (i, s) in sequential.iter().enumerate() {
+            prop_assert_eq!(s.outputs_of(0), batched.outputs_of(i), "rewritten frames of packet {}", i);
+            prop_assert_eq!(s.frames()[0].dropped, batched.frames()[i].dropped, "drop decision of packet {}", i);
         }
         // CoW isolation: the ingress frames the batch shared storage
         // with are bit-for-bit what was submitted.
@@ -432,15 +443,15 @@ proptest! {
         );
         // Down: trunk → patch(port), untagged.
         let tagged = push_vlan(&frame, VlanTag::new(vlan)).unwrap();
-        let down = dp.process(1, tagged, 0);
-        prop_assert_eq!(down.outputs.len(), 1);
-        prop_assert_eq!(down.outputs[0].0, harmless::translator::patch_port(port));
-        prop_assert_eq!(&down.outputs[0].1[..], &frame[..]);
+        let down = run1(&mut dp, 1, tagged, 0);
+        prop_assert_eq!(down.outputs_of(0).len(), 1);
+        prop_assert_eq!(down.outputs_of(0)[0].0, harmless::translator::patch_port(port));
+        prop_assert_eq!(&down.outputs_of(0)[0].1[..], &frame[..]);
         // Up: patch(port) → trunk, tagged with the same VLAN.
-        let up = dp.process(harmless::translator::patch_port(port), frame, 1);
-        prop_assert_eq!(up.outputs.len(), 1);
-        prop_assert_eq!(up.outputs[0].0, 1);
-        let key = FlowKey::extract(1, &up.outputs[0].1).unwrap();
+        let up = run1(&mut dp, harmless::translator::patch_port(port), frame, 1);
+        prop_assert_eq!(up.outputs_of(0).len(), 1);
+        prop_assert_eq!(up.outputs_of(0)[0].0, 1);
+        let key = FlowKey::extract(1, &up.outputs_of(0)[0].1).unwrap();
         prop_assert_eq!(key.vlan_vid, 0x1000 | vlan);
     }
 
@@ -852,8 +863,8 @@ proptest! {
     }
 
     /// The edge-router pipeline (classifier → NAT → LPM routes) must
-    /// behave identically whether frames take the scalar slow path or
-    /// the batched/cached fast path: same rewritten bytes, same drops,
+    /// behave identically whether frames arrive as one-frame batches or
+    /// as one batch through the memo: same rewritten bytes, same drops,
     /// same TTL expiries, same NAT connection state.
     #[test]
     fn routed_nat_pipeline_batch_equals_scalar(
@@ -941,16 +952,15 @@ proptest! {
         };
         let now = 7u64;
         let mut seq_dp = build();
-        let sequential: Vec<_> = packets.iter().map(|p| seq_dp.process(1, frame(p), now)).collect();
+        let sequential: Vec<_> = packets.iter().map(|p| run1(&mut seq_dp, 1, frame(p), now)).collect();
         let mut batch_dp = build();
         let mut batch: FrameBatch = packets.iter().map(|p| (1u32, frame(p))).collect();
-        let batched = batch_dp.process_batch(&mut batch, now);
-        let batched = batched.per_frame();
+        let batched = run(&mut batch_dp, &mut batch, now);
         prop_assert_eq!(batched.len(), sequential.len());
-        for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
-            prop_assert_eq!(&s.outputs, &b.outputs, "rewritten frames of packet {}", i);
-            prop_assert_eq!(s.dropped, b.dropped, "drop decision of packet {}", i);
-            prop_assert_eq!(&s.packet_ins, &b.packet_ins, "packet-ins of packet {}", i);
+        for (i, s) in sequential.iter().enumerate() {
+            prop_assert_eq!(s.outputs_of(0), batched.outputs_of(i), "rewritten frames of packet {}", i);
+            prop_assert_eq!(s.frames()[0].dropped, batched.frames()[i].dropped, "drop decision of packet {}", i);
+            prop_assert_eq!(s.packet_ins_of(0), batched.packet_ins_of(i), "packet-ins of packet {}", i);
         }
         prop_assert_eq!(seq_dp.ttl_expired_total(), batch_dp.ttl_expired_total());
         prop_assert_eq!(seq_dp.nat_dropped_total(), batch_dp.nat_dropped_total());
